@@ -291,13 +291,16 @@ def cmd_equilibrium(args) -> int:
 
 
 def _ordering_consistent(x_star, c, eps_tie: float = EPS_TIE) -> bool:
-    for i in range(len(c)):
-        for j in range(len(c)):
-            if c[i] > c[j] + eps_tie and x_star[i] <= x_star[j]:
-                return False
-            if abs(c[i] - c[j]) < eps_tie and abs(x_star[i] - x_star[j]) > 10 * eps_tie:
-                return False
-    return True
+    """True when, over all pairs (i, j), a higher score c_i > c_j + eps_tie
+    gives a higher power x_i > x_j and tied scores give powers within
+    10 * eps_tie."""
+    c = np.asarray(c, dtype=float)
+    x = np.asarray(x_star, dtype=float)
+    inverted = (c[:, None] > c + eps_tie) & (x[:, None] <= x)
+    split_tie = (np.abs(c[:, None] - c) < eps_tie) & (
+        np.abs(x[:, None] - x) > 10 * eps_tie
+    )
+    return not (inverted.any() or split_tie.any())
 
 
 def cmd_compare(args) -> int:

@@ -9,9 +9,14 @@ Two update rules act on a self-weight vector x in the unit simplex:
 * model ``"df"``, the classical DeGroot-Friedkin update, reallocates power
   only after the influence matrix W(x) has mixed to its long-run limit:
   each closed group of W(x) gets its internal eigenvector split, weighted
-  by the share of mass the averaging process absorbs into that group
-  (transient shares via the fundamental-matrix solve).  With a single
-  closed group this is just the dominant left eigenvector of W(x).
+  by the share of mass the averaging process absorbs into that group.
+  With a single closed group this is just the dominant left eigenvector
+  of W(x).  The split has the closed form x_i+ ~ c_i / (1 - x_i), c the
+  centrality of the group in C (Jia, Mirtabatabaei, Friedkin & Bullo,
+  SIAM Review 57(3), 2015), and the groups, their weights and their
+  centralities do not depend on x except through its exact vertex
+  coordinates.  :func:`df_plan` computes them once per run, so a step
+  costs O(n) with no eigenproblem and no SCC pass.
 
 :func:`simulate` iterates either rule with convergence detection, vertex
 absorption, per-step deltas, a conservation monitor, and per-sink power
@@ -28,8 +33,10 @@ import numpy as np
 
 from .errors import InvalidInitialError, MassDriftError, StructureMismatchError
 from .netcore import (
+    Irreducible,
     MultiSink,
     NetworkStructure,
+    ReducibleReachable,
     RelativeInteractionMatrix,
     _condensation,
     classify,
@@ -86,48 +93,124 @@ def st_df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
     return C.entries.T @ (x - x2) + x2
 
 
+@dataclass(frozen=True)
+class DfPlan:
+    """The x-independent part of the df step for every state x whose set
+    of exact vertex coordinates (x_i >= 1) is `absorbing`.
+
+    classes: 0-based index array of each closed class of W(x).
+    weights: share of the population's mass each class absorbs.
+    centralities: each class's centrality in C, None for a singleton.
+    """
+
+    absorbing: tuple[int, ...]
+    classes: tuple[np.ndarray, ...]
+    weights: tuple[float, ...]
+    centralities: tuple[Optional[np.ndarray], ...]
+
+    def __post_init__(self) -> None:
+        for vec in (*self.classes, *self.centralities):
+            if vec is not None:
+                vec.setflags(write=False)
+
+
+def _absorbing(x: np.ndarray) -> tuple[int, ...]:
+    """0-based coordinates at which W(x) has the row e_i."""
+    return tuple(np.flatnonzero(x >= 1.0).tolist())
+
+
+def _closed_classes(structure: NetworkStructure) -> list[np.ndarray]:
+    if isinstance(structure, Irreducible):
+        return [np.arange(structure.n)]
+    if isinstance(structure, ReducibleReachable):
+        return [np.asarray(structure.reachable, dtype=int) - 1]
+    return [np.asarray(s, dtype=int) - 1 for s in structure.sinks]
+
+
+def df_plan(
+    C: RelativeInteractionMatrix,
+    absorbing: tuple[int, ...] = (),
+    structure: Optional[NetworkStructure] = None,
+    eps_spectral: float = EPS_SPECTRAL,
+) -> DfPlan:
+    """Set up :func:`df_step` for the states whose exact vertex coordinates
+    are `absorbing` (0-based; empty for every state with all x_i < 1).
+
+    With no absorbing coordinate W(x) has C's off-diagonal pattern, so its
+    closed classes are C's sinks, taken from `structure` when given.  Each
+    absorbing coordinate turns its row of W(x) into e_i; the classes then
+    come from the condensation of that pattern.  Transient rows satisfy
+    I - W_MM = (I - D_M)(I - C_MM) and W_Ms = (I - D_M) C_Ms, so the mass a
+    closed class s absorbs from the uniform start, 1/n per node, is
+    |s| / n + y C_Ms 1 with (I - C_MM^T) y = 1/n: independent of x.
+    """
+    if absorbing or structure is None:
+        # W(indicator of the absorbing set) has the pattern of every such W(x)
+        indicator = np.zeros(C.n)
+        indicator[list(absorbing)] = 1.0
+        condensation = _condensation(influence_matrix(C, indicator).entries)
+        classes = [
+            np.asarray(condensation.components[k], dtype=int) - 1
+            for k in condensation.sinks
+        ]
+    else:
+        classes = _closed_classes(structure)
+    n = C.n
+    weights = np.array([s.size / n for s in classes])
+    in_class = np.zeros(n, dtype=bool)
+    for s in classes:
+        in_class[s] = True
+    transient = np.flatnonzero(~in_class)
+    if transient.size:
+        C_MM = C.entries[np.ix_(transient, transient)]
+        y = np.linalg.solve(
+            np.eye(transient.size) - C_MM.T, np.full(transient.size, 1.0 / n)
+        )
+        for k, s in enumerate(classes):
+            weights[k] += float(y @ C.entries[np.ix_(transient, s)].sum(axis=1))
+    centralities = tuple(
+        None
+        if s.size == 1
+        else dominant_left_eigenvector(C.entries[np.ix_(s, s)], eps_spectral)
+        for s in classes
+    )
+    return DfPlan(
+        absorbing=tuple(absorbing),
+        classes=tuple(classes),
+        weights=tuple(float(w) for w in weights),
+        centralities=centralities,
+    )
+
+
 def df_step(
-    C: RelativeInteractionMatrix, x, eps_spectral: float = EPS_SPECTRAL
+    C: RelativeInteractionMatrix,
+    x,
+    eps_spectral: float = EPS_SPECTRAL,
+    plan: Optional[DfPlan] = None,
 ) -> np.ndarray:
     """One DeGroot-Friedkin update: the power allocation implied by the
     long-run averaging limit of W(x).
 
-    The closed groups (sink components) of W(x) each keep their internal
-    dominant-left-eigenvector split.  The group weights are the average
-    over the population of the limiting control: size / n for the group's
-    own members plus, for transient nodes, the absorbed share obtained from
-    the fundamental-matrix solve (I - W_MM^T)^{-1} applied to the uniform
-    start mass.  With one closed group (W(x) irreducible, or a single sink)
-    this reduces to the dominant left eigenvector of W(x).
+    Each closed class s of W(x) keeps the dominant-left-eigenvector split
+    of its block, weighted by the share of the population's mass that
+    averaging absorbs into it.  Because v W_ss - v = [v (I - D_s)](C_ss - I),
+    that split is c_i / (1 - x_i) normalised, with c the centrality of
+    C_ss, so the step costs O(n) once the x-independent classes, weights
+    and centralities are known.  `plan` carries them (see :func:`df_plan`);
+    when it is omitted or was built for another set of exact vertex
+    coordinates, it is built here.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    W = influence_matrix(C, x).entries
-    condensation = _condensation(W)
-    sink_sets = [
-        np.asarray(condensation.components[k], dtype=int) - 1
-        for k in condensation.sinks
-    ]
-    weights = np.array([s.size / n for s in sink_sets])
-    in_sink = np.zeros(n, dtype=bool)
-    for s in sink_sets:
-        in_sink[s] = True
-    transient = np.flatnonzero(~in_sink)
-    if transient.size:
-        Q = W[np.ix_(transient, transient)]
-        absorbed = np.linalg.solve(
-            np.eye(transient.size) - Q.T, np.full(transient.size, 1.0 / n)
-        )
-        for k, s in enumerate(sink_sets):
-            weights[k] += float(absorbed @ W[np.ix_(transient, s)].sum(axis=1))
-    out = np.zeros(n)
-    for k, s in enumerate(sink_sets):
-        if s.size == 1:
-            out[s] = weights[k]
+    absorbing = _absorbing(x)
+    if plan is None or plan.absorbing != absorbing:
+        plan = df_plan(C, absorbing, eps_spectral=eps_spectral)
+    out = np.zeros(x.size)
+    for s, w, c in zip(plan.classes, plan.weights, plan.centralities):
+        if c is None:
+            out[s] = w
         else:
-            out[s] = weights[k] * dominant_left_eigenvector(
-                W[np.ix_(s, s)], eps_spectral
-            )
+            y = c / (1.0 - x[s])
+            out[s] = (w / y.sum()) * y
     return out / out.sum()
 
 
@@ -246,9 +329,10 @@ def simulate(
             return out
 
     else:
+        plan = df_plan(C, structure=structure, eps_spectral=eps_spectral)
 
         def step(v: np.ndarray) -> np.ndarray:
-            return df_step(C, v, eps_spectral)
+            return df_step(C, v, eps_spectral, plan=plan)
 
     record_every = max(1, int(record_every))
     states = [x.copy()]

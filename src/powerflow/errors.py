@@ -57,11 +57,18 @@ class EmptyAdviceSetError(PowerflowError):
 
 
 class NoConvergenceError(PowerflowError):
-    def __init__(self, iterations, residual=None):
+    """An iterative solver ran out of iterations (`iterations` set), or a
+    direct solve missed its residual target (`iterations` is None)."""
+
+    def __init__(self, iterations=None, residual=None):
         self.iterations = iterations
         self.residual = residual
         detail = "" if residual is None else f" (residual {residual:.3g})"
-        super().__init__(f"no convergence after {iterations} iterations{detail}")
+        if iterations is None:
+            message = f"direct solve missed its residual target{detail}"
+        else:
+            message = f"no convergence after {iterations} iterations{detail}"
+        super().__init__(message)
 
 
 class InvalidInitialError(PowerflowError):

@@ -4,6 +4,13 @@ Provides the eigenvalue-1 left eigenvector (eigenvector centrality) of an
 irreducible row-stochastic matrix, the centrality profile of a classified
 network (one global vector, or one vector per sink), and construction of
 the state-dependent influence matrix W(x) = diag(x) + (I - diag(x)) C.
+
+The eigenvector comes from one direct LU solve of v (M - I) = 0 with one
+equation replaced by sum(v) = 1, gated by its residual.  It needs no
+iteration budget, no lazy damping for periodic inputs and no fallback, and
+slow-mixing inputs (long chains) are solved to rounding accuracy.
+Grassmann-Taksar-Heyman elimination, the subtraction-free alternative,
+ran 6-30 times slower in numpy at n = 200-1000 and is not kept.
 """
 
 from __future__ import annotations
@@ -26,49 +33,36 @@ from .netcore import (
 EPS_SPECTRAL = 1e-12
 
 
-def dominant_left_eigenvector(
-    M, eps: float = EPS_SPECTRAL, max_iters: Optional[int] = None
-) -> np.ndarray:
+def dominant_left_eigenvector(M, eps: float = EPS_SPECTRAL) -> np.ndarray:
     """Left eigenvector v of an irreducible row-stochastic matrix M with
-    v M = v, v >= 0, sum(v) = 1, accepted when the max-norm residual of
+    v M = v, v > 0, sum(v) = 1, accepted when the max-norm residual of
     v M - v is below `eps`.
 
-    Power iteration runs on the lazy matrix (I + M) / 2, which is aperiodic
-    for every irreducible M and shares its eigenvalue-1 left eigenspace, so
-    periodic inputs such as plain cycles converge too.  The start vector is
-    uniform: results are deterministic with no internal randomness.  If the
-    iteration budget runs out (a slow spectral gap), the eigenvector is
-    recovered by a dense least-squares solve of v (M - I) = 0 with a
-    sum-to-one row; NoConvergenceError signals genuine numerical pathology
-    only after that fallback also misses the residual target.
+    One direct LU solve of v (M - I) = 0 with its last equation replaced by
+    sum(v) = 1; for irreducible M that system is nonsingular, whatever the
+    period or the spectral gap, so the answer is deterministic and carries
+    no iteration error.  The residual is a hard gate: NoConvergenceError,
+    carrying the residual, reports a singular system (M not irreducible), a
+    residual at or above `eps`, or an entry that is not strictly positive.
     """
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
     if n == 1:
         return np.ones(1)
-    if max_iters is None:
-        max_iters = int(100 * n * math.log(1.0 / eps)) + 1
-    AT = np.ascontiguousarray(A.T)
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
-        u = AT @ v
-        if np.max(np.abs(u - v)) < eps:
-            return v / v.sum()
-        v = 0.5 * (u + v)
-        v /= v.sum()
-    lhs = np.vstack([AT - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    w, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    residual = math.inf
-    if total > 0.0:
-        w /= total
-        residual = float(np.max(np.abs(AT @ w - w)))
-        if residual < eps:
-            return w
-    raise NoConvergenceError(max_iters, residual=residual)
+    lhs = A.T.copy()
+    lhs[np.diag_indices(n)] -= 1.0
+    lhs[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        v = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        raise NoConvergenceError(residual=math.inf) from None
+    v /= v.sum()
+    residual = float(np.max(np.abs(v @ A - v)))
+    if not residual < eps or not np.all(v > 0.0):
+        raise NoConvergenceError(residual=residual)
+    return v
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import numpy as np
+
 import powerflow as pf
-from powerflow.cli import main
+from powerflow.cli import _ordering_consistent, main
 
 import nets
 
@@ -207,3 +209,51 @@ def test_log_env_variable_accepted(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "classify", "--builder", "ring:3")
     assert code == 0
     assert "POWERFLOW_LOG" in err
+
+
+def _ordering_reference(x_star, c, eps_tie=pf.EPS_TIE):
+    for i in range(len(c)):
+        for j in range(len(c)):
+            if c[i] > c[j] + eps_tie and x_star[i] <= x_star[j]:
+                return False
+            if abs(c[i] - c[j]) < eps_tie and abs(x_star[i] - x_star[j]) > 10 * eps_tie:
+                return False
+    return True
+
+
+class TestOrderingCheck:
+    def test_pass_on_solved_equilibria(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            c = nets.random_interior(rng, int(rng.integers(3, 12)))
+            c = 0.4 * c + 0.6 / c.size  # keep every score below 1/2
+            x = pf.solve_interior_equilibrium(c, 1.0)
+            assert _ordering_consistent(x, c) is True
+            assert _ordering_reference(x, c) is True
+
+    def test_fail_on_inverted_pair(self):
+        c = np.array([0.5, 0.3, 0.2])
+        x = np.array([0.3, 0.5, 0.2])
+        assert _ordering_consistent(x, c) is False
+        assert _ordering_reference(x, c) is False
+
+    def test_tied_scores(self):
+        c = np.array([0.25, 0.25, 0.25 + 1e-10, 0.25 - 1e-10])
+        even = np.full(4, 0.25)
+        split = np.array([0.25, 0.25 + 1e-7, 0.25 - 1e-7, 0.25])
+        near = np.array([0.25, 0.25 + 5e-9, 0.25 - 5e-9, 0.25])
+        for x in (even, split, near):
+            assert _ordering_consistent(x, c) == _ordering_reference(x, c)
+        assert _ordering_consistent(even, c) is True
+        assert _ordering_consistent(split, c) is False
+
+    def test_matches_reference_on_random_inputs(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            # coarse grids make exact ties, near ties and inversions common
+            c = rng.integers(0, 4, n) * 1e-9 + 0.1
+            x = rng.integers(0, 4, n) * 4e-9 + 0.1
+            if rng.random() < 0.5:
+                x = c + rng.integers(-1, 2, n) * 1e-9
+            assert _ordering_consistent(x, c) == _ordering_reference(x, c)

@@ -75,6 +75,111 @@ class TestOriginalDfStep:
             assert np.array_equal(np.argsort(out), np.argsort(x))
 
 
+def _limit_power(C, x, squarings=50):
+    """Average row of the long-run limit of W(x), by repeated squaring of
+    the lazy (I + W) / 2, which shares that limit and is aperiodic where
+    W(x) is not (rows renormalised against rounding): the df step from its
+    definition, with no eigenvector or absorption solve."""
+    W = 0.5 * (np.eye(C.n) + pf.influence_matrix(C, x).entries)
+    for _ in range(squarings):
+        W = W @ W
+        W /= W.sum(axis=1, keepdims=True)
+    return W.mean(axis=0)
+
+
+class TestClosedFormDfStep:
+    def test_irreducible_closed_form(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            n = int(rng.integers(3, 12))
+            C = nets.random_valid(rng, n)
+            c = pf.dominant_left_eigenvector(C.entries)
+            x = nets.random_interior(rng, n)
+            y = c / (1.0 - x)
+            out = pf.df_step(C, x)
+            assert np.max(np.abs(out - y / y.sum())) < 1e-14
+            W = pf.influence_matrix(C, x).entries
+            assert np.max(np.abs(out @ W - out)) < 1e-13
+
+    def test_multi_sink_per_sink_form_with_fixed_weights(self):
+        rng = np.random.default_rng(42)
+        for C in (nets.two_sink_five(), nets.two_sink_six()):
+            structure = pf.classify(C)
+            profile = pf.centrality_profile(C, structure)
+            weights = []
+            for _ in range(10):
+                x = nets.random_interior(rng, C.n)
+                out = pf.df_step(C, x)
+                assert np.max(np.abs(out - _limit_power(C, x))) < 1e-10
+                weights.append(pf.sink_power(structure, out))
+                expected = np.zeros(C.n)
+                for sink, c_k, w in zip(structure.sinks, profile.per_sink, weights[-1]):
+                    idx = np.asarray(sink) - 1
+                    y = c_k / (1.0 - x[idx])
+                    expected[idx] = w * y / y.sum()
+                assert np.max(np.abs(out - expected)) < 1e-14
+            assert np.ptp(np.array(weights), axis=0).max() < 1e-14
+
+    def test_exact_vertex_matches_limit_definition(self):
+        for C in (nets.reducible_star_ten(), nets.two_sink_five(), nets.two_sink_six(),
+                  nets.transient_cycle_six(), nets.three_node()):
+            for i in range(C.n):
+                e = np.zeros(C.n)
+                e[i] = 1.0
+                out = pf.df_step(C, e)
+                assert np.max(np.abs(out - _limit_power(C, e))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "make, start",
+        [
+            (nets.reducible_star_ten, "vertex:10"),
+            (nets.reducible_star_ten, "interior"),
+            (nets.three_node, "interior"),
+            (nets.two_sink_six, "interior"),
+            (nets.transient_cycle_six, "vertex:6"),
+        ],
+    )
+    def test_simulate_matches_one_shot_steps(self, make, start):
+        C = make()
+        if start == "interior":
+            x = nets.random_interior(np.random.default_rng(43), C.n)
+        else:
+            x = np.zeros(C.n)
+            x[int(start.split(":")[1]) - 1] = 1.0
+        traj = pf.simulate("df", C, x, eps_conv=0.0, max_steps=60)
+        assert traj.total_steps == 60
+        for t in range(1, 61):
+            x = pf.df_step(C, x)
+            assert np.max(np.abs(traj.states[t] - x)) < 1e-15
+
+    def test_simulate_builds_structure_once(self, monkeypatch):
+        from powerflow import dynamics
+
+        calls = {"condensation": 0, "eigvec": 0}
+        condensation = dynamics._condensation
+        eigvec = dynamics.dominant_left_eigenvector
+
+        def counted_condensation(*args, **kwargs):
+            calls["condensation"] += 1
+            return condensation(*args, **kwargs)
+
+        def counted_eigvec(*args, **kwargs):
+            calls["eigvec"] += 1
+            return eigvec(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_condensation", counted_condensation)
+        monkeypatch.setattr(dynamics, "dominant_left_eigenvector", counted_eigvec)
+        C = nets.reducible_star_ten()
+        structure = pf.classify(C)
+        e10 = np.zeros(10)
+        e10[9] = 1.0
+        traj = pf.simulate("df", C, e10, max_steps=500, structure=structure)
+        assert traj.total_steps == 500
+        # one plan for interior states, one per step taken at the vertex
+        assert calls["condensation"] <= 2
+        assert calls["eigvec"] <= 3
+
+
 class TestSinkPower:
     def test_uniform_state(self):
         C = nets.two_sink_five()

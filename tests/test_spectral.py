@@ -131,3 +131,32 @@ def test_influence_rows_sum_to_one(seed, n):
     W = pf.influence_matrix(C, x).entries
     assert np.allclose(W.sum(axis=1), 1.0, atol=5e-15)
     assert np.all(W >= 0)
+
+
+def test_slow_path_matches_exact_stationary_vector():
+    # equal-weight bidirectional path: the stationary vector is proportional
+    # to degree, and the spectral gap is about pi^2 / n^2
+    n = 200
+    entries = np.zeros((n, n))
+    entries[0, 1] = entries[n - 1, n - 2] = 1.0
+    for i in range(1, n - 1):
+        entries[i, i - 1] = entries[i, i + 1] = 0.5
+    exact = np.full(n, 1.0 / (n - 1))
+    exact[[0, n - 1]] = 1.0 / (2 * (n - 1))
+    v = pf.dominant_left_eigenvector(pf.validate_matrix(entries).entries)
+    assert np.max(np.abs(v - exact)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[1.0, 0.0], [0.5, 0.5]],  # one sink: the solve gives a zero entry
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]],  # two sinks: singular
+    ],
+)
+def test_reducible_input_raises_with_residual(M):
+    with pytest.raises(pf.errors.NoConvergenceError) as info:
+        pf.dominant_left_eigenvector(np.array(M))
+    assert info.value.iterations is None
+    assert info.value.residual is not None
+    assert "iterations" not in str(info.value)
