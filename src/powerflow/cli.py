@@ -220,7 +220,7 @@ def cmd_simulate(args) -> int:
         record_every=args.record_every, structure=structure,
     )
     if args.out:
-        netio.write_trajectory_csv(trajectory, args.out, structure)
+        netio.write_trajectory_csv(trajectory, args.out)
         print(f"wrote trajectory: {args.out}")
     elif not args.quiet:
         for row_idx, t in enumerate(trajectory.steps):
@@ -328,8 +328,8 @@ def cmd_compare(args) -> int:
         print(f"sink power df: {_fmt_vec(report.sink_power_df)}")
     if args.out:
         base = args.out
-        netio.write_trajectory_csv(report.trajectory_st, f"{base}.st.csv", structure)
-        netio.write_trajectory_csv(report.trajectory_df, f"{base}.df.csv", structure)
+        netio.write_trajectory_csv(report.trajectory_st, f"{base}.st.csv")
+        netio.write_trajectory_csv(report.trajectory_df, f"{base}.df.csv")
         print(f"wrote trajectories: {base}.st.csv {base}.df.csv")
     return 0
 

@@ -20,12 +20,15 @@ Two update rules act on a self-weight vector x in the unit simplex:
 
 :func:`simulate` iterates either rule with convergence detection, vertex
 absorption, per-step deltas, a conservation monitor, and per-sink power
-tracking on multi-sink networks.
+tracking on multi-sink networks.  It steps in blocks of up to a few hundred
+steps and checks, records and measures each block with a few vectorised
+calls.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -61,6 +64,13 @@ DEFAULT_MAX_STEPS = 10**6
 _MASS_DRIFT_LIMIT = 1e-9
 _MASS_CHECK_INTERVAL = 512
 
+# simulate computes the steps of a block into one preallocated buffer: the
+# first block is short so that short runs pay for few steps past their end,
+# later ones are sized from the observed contraction rate.  The buffer holds
+# _MAX_BLOCK + 1 states, fewer than the n x n matrix for n > _MAX_BLOCK.
+_FIRST_BLOCK = 8
+_MAX_BLOCK = 256
+
 
 def check_simplex(x, eps: float = EPS_SIMPLEX) -> np.ndarray:
     """Return x as a float vector after verifying simplex membership."""
@@ -86,11 +96,13 @@ def st_df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
     """One single-timescale update: C^T (x - x^2) + x^2.
 
     Vertices are exactly fixed with no rounding: at x = e_i the appraisal
-    term x - x^2 vanishes identically, leaving x^2 = e_i.
+    term x - x^2 vanishes identically, leaving x^2 = e_i.  The product uses
+    a C-ordered copy of C^T, as :func:`simulate` does, so a trajectory
+    equals repeated calls of this function bit for bit.
     """
     x = np.asarray(x, dtype=float)
     x2 = x * x
-    return C.entries.T @ (x - x2) + x2
+    return np.ascontiguousarray(C.entries.T) @ (x - x2) + x2
 
 
 @dataclass(frozen=True)
@@ -124,7 +136,7 @@ def _closed_classes(structure: NetworkStructure) -> list[np.ndarray]:
         return [np.arange(structure.n)]
     if isinstance(structure, ReducibleReachable):
         return [np.asarray(structure.reachable, dtype=int) - 1]
-    return [np.asarray(s, dtype=int) - 1 for s in structure.sinks]
+    return list(structure.sink_index)
 
 
 def df_plan(
@@ -225,8 +237,19 @@ def sink_power(structure: NetworkStructure, x) -> np.ndarray:
             "sink power is defined only for multi-sink structures, "
             f"got {type(structure).__name__}"
         )
-    x = np.asarray(x, dtype=float)
-    return np.array([float(x[np.asarray(s, dtype=int) - 1].sum()) for s in structure.sinks])
+    return _sink_totals(structure, np.asarray(x, dtype=float)[None, :])[0]
+
+
+def _sink_totals(structure: MultiSink, rows: np.ndarray) -> np.ndarray:
+    """Per-sink totals of every row of `rows`, shape (rows, K).
+
+    `take` gathers each sink into a C-ordered block, so every row is reduced
+    on its own exactly like a 1-D sum: a row's totals do not depend on how
+    many rows are reduced together.
+    """
+    return np.stack(
+        [np.take(rows, s, axis=1).sum(axis=1) for s in structure.sink_index], axis=1
+    )
 
 
 @dataclass(frozen=True)
@@ -301,83 +324,124 @@ def simulate(
     MassDriftError if total self-weight moves by more than accumulation
     noise.  A two-node strongly connected network is degenerate (both
     rules fix every interior point), reported as Converged at step 0.
+
+    The rule runs in blocks of up to a few hundred steps; deltas,
+    termination candidates, drift checks, sink totals and recorded rows of
+    a block are then computed with a few array operations.  Steps computed
+    past the terminating one are discarded.  The step is deterministic, so
+    states, deltas, steps and status are exactly those of stepping one at a
+    time; the first block is short and later blocks are sized from the
+    contraction rate delta_t / delta_(t-1), logged at debug level.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     x = check_simplex(x0, eps_simplex).astype(float).copy()
-    if x.size != C.n:
+    n = C.n
+    if x.size != n:
         raise InvalidInitialError(
-            f"initial vector has {x.size} components for a {C.n}-node network"
+            f"initial vector has {x.size} components for a {n}-node network"
         )
     if structure is None:
         structure = classify(C)
     multi = isinstance(structure, MultiSink)
-    sink_idx = (
-        [np.asarray(s, dtype=int) - 1 for s in structure.sinks] if multi else None
-    )
 
-    scratch_sq = np.empty(C.n)
-    scratch = np.empty(C.n)
     if model == SINGLE_TIMESCALE:
         CT = np.ascontiguousarray(C.entries.T)
+        sq = np.empty(n)
+        appraisal = np.empty(n)
+        multiply, subtract, matmul = np.multiply, np.subtract, np.matmul
 
-        def step(v: np.ndarray) -> np.ndarray:
-            np.multiply(v, v, out=scratch_sq)
-            np.subtract(v, scratch_sq, out=scratch)
-            out = CT @ scratch
-            out += scratch_sq
-            return out
+        def advance(pairs) -> None:
+            for prev, row in pairs:
+                multiply(prev, prev, out=sq)
+                subtract(prev, sq, out=appraisal)
+                matmul(CT, appraisal, out=row)
+                row += sq
 
     else:
         plan = df_plan(C, structure=structure, eps_spectral=eps_spectral)
 
-        def step(v: np.ndarray) -> np.ndarray:
-            return df_step(C, v, eps_spectral, plan=plan)
+        def advance(pairs) -> None:
+            for prev, row in pairs:
+                row[:] = df_step(C, prev, eps_spectral, plan=plan)
+
+    def fixed_point_deviation(v: np.ndarray) -> float:
+        nxt = np.empty(n)
+        advance([(v, nxt)])
+        return float(np.max(np.abs(nxt - v)))
 
     record_every = max(1, int(record_every))
-    states = [x.copy()]
-    recorded_steps = [0]
-    deltas: list[float] = []
-    zetas = [np.array([float(x[s].sum()) for s in sink_idx])] if multi else None
+    state_blocks = [x[None, :]]
+    delta_blocks = [np.empty(0)]
+    zeta_blocks = [_sink_totals(structure, x[None, :])] if multi else None
     mass0 = float(x.sum())
-    logger.info("simulate model=%s n=%d max_steps=%d", model, C.n, max_steps)
+    logger.info("simulate model=%s n=%d max_steps=%d", model, n, max_steps)
 
     status: Optional[TrajectoryStatus] = None
     t = 0
     v0 = vertex_index(x, eps_simplex)
-    if v0 is not None and float(np.max(np.abs(step(x) - x))) <= eps_simplex:
+    if v0 is not None and fixed_point_deviation(x) <= eps_simplex:
         status = VertexAbsorbed(vertex=v0, at=0)
     elif getattr(structure, "degenerate_pair", False):
         status = Converged(at=0, limit=x.copy())
     else:
+        buf = np.empty((_MAX_BLOCK + 1, n))
+        buf[0] = x
+        rows = [buf[0]]  # views of buf's rows, extended as blocks grow
+        k = _FIRST_BLOCK
+        previous_delta = math.nan
         while t < max_steps:
-            nxt = step(x)
-            t += 1
-            np.subtract(nxt, x, out=scratch)
-            np.abs(scratch, out=scratch)
-            delta = float(scratch.max())
-            deltas.append(delta)
-            if multi:
-                zetas.append(np.array([float(nxt[s].sum()) for s in sink_idx]))
-            if t % record_every == 0:
-                states.append(nxt)
-                recorded_steps.append(t)
-            x = nxt
-            if t % _MASS_CHECK_INTERVAL == 0:
-                drift = abs(float(x.sum()) - mass0)
+            # rows[j] holds the state at step t + j for j = 0 .. k
+            k = min(k, max_steps - t)
+            rows.extend(buf[len(rows) : k + 1])
+            advance(zip(rows, rows[1 : k + 1]))
+            block = buf[1 : k + 1]
+            deltas = np.abs(block - buf[:k]).max(axis=1)
+            peaks = block.max(axis=1)
+            candidates = np.nonzero((deltas < eps_conv) | (peaks >= 1.0 - eps_simplex))[0]
+            end = k
+            for j in (candidates + 1).tolist():
+                # the delta of step t + j + 1 is the fixed-point deviation of row j
+                fixed_dev = deltas[j] if j < k else fixed_point_deviation(rows[j])
+                vi = vertex_index(rows[j], eps_simplex)
+                if vi is not None and fixed_dev <= eps_simplex:
+                    status = VertexAbsorbed(vertex=vi, at=t + j)
+                elif deltas[j - 1] < eps_conv and fixed_dev < 10.0 * eps_conv:
+                    status = Converged(at=t + j, limit=rows[j].copy())
+                else:
+                    continue
+                end = j
+                break
+            for step_no in range(
+                t + _MASS_CHECK_INTERVAL - t % _MASS_CHECK_INTERVAL,
+                t + end + 1,
+                _MASS_CHECK_INTERVAL,
+            ):
+                drift = abs(float(rows[step_no - t].sum()) - mass0)
                 if drift > _MASS_DRIFT_LIMIT:
                     raise MassDriftError(
-                        f"total self-weight drifted by {drift:.3g} after {t} steps"
+                        f"total self-weight drifted by {drift:.3g} after {step_no} steps"
                     )
-            if delta < eps_conv or x.max() >= 1.0 - eps_simplex:
-                fixed_dev = float(np.max(np.abs(step(x) - x)))
-                vi = vertex_index(x, eps_simplex)
-                if vi is not None and fixed_dev <= eps_simplex:
-                    status = VertexAbsorbed(vertex=vi, at=t)
-                    break
-                if delta < eps_conv and fixed_dev < 10.0 * eps_conv:
-                    status = Converged(at=t, limit=x.copy())
-                    break
+            delta_blocks.append(deltas[:end])
+            if multi:
+                zeta_blocks.append(_sink_totals(structure, buf[1 : end + 1]))
+            first = record_every - t % record_every
+            state_blocks.append(buf[first : end + 1 : record_every].copy())
+            last = float(deltas[end - 1])
+            before = float(deltas[end - 2]) if end > 1 else previous_delta
+            rate = last / before if before > 0.0 else math.nan
+            t += end
+            logger.debug(
+                "simulate block: steps=%d block=%d delta=%.3g rate=%.9g",
+                t, k, last, rate,
+            )
+            buf[0] = rows[end]
+            if status is not None:
+                break
+            previous_delta = last
+            gap = 1.0 - float(peaks[end - 1])
+            k = _block_length(k, last, rate, gap, eps_conv, eps_simplex)
+        x = buf[0].copy()
         if status is None:
             status = MaxStepsReached(steps=max_steps)
 
@@ -386,14 +450,37 @@ def simulate(
         raise MassDriftError(
             f"total self-weight drifted by {drift:.3g} after {t} steps"
         )
-    if recorded_steps[-1] != t:
-        states.append(x.copy())
-        recorded_steps.append(t)
+    steps = np.arange(0, t + 1, record_every)
+    if steps[-1] != t:
+        state_blocks.append(x[None, :])
+        steps = np.append(steps, t)
     logger.info("simulate done: %s after %d steps", type(status).__name__, t)
     return Trajectory(
-        states=np.vstack(states),
-        steps=np.asarray(recorded_steps, dtype=int),
-        step_deltas=np.asarray(deltas, dtype=float),
+        states=np.concatenate(state_blocks),
+        steps=steps,
+        step_deltas=np.concatenate(delta_blocks),
         status=status,
-        sink_power=np.vstack(zetas) if multi else None,
+        sink_power=np.concatenate(zeta_blocks) if multi else None,
     )
+
+
+def _block_length(
+    k: int,
+    delta: float,
+    rate: float,
+    gap: float,
+    eps_conv: float,
+    eps_simplex: float,
+) -> int:
+    """Steps in the next block: enough, at the observed contraction `rate`,
+    to take the step `delta` below `eps_conv` or the distance `gap` from the
+    nearest vertex below `eps_simplex`, plus the step that confirms it; at
+    most twice the last block, since early rates are rough."""
+    longest = min(2 * k, _MAX_BLOCK)
+    if not 0.0 < rate < 1.0:
+        return longest
+    log_rate = math.log(rate)
+    need = math.log(eps_conv / delta) / log_rate if eps_conv > 0.0 else math.inf
+    if gap > eps_simplex:
+        need = min(need, math.log(eps_simplex / gap) / log_rate)
+    return int(min(max(need, 0.0) + 2.0, longest))

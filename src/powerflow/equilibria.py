@@ -278,14 +278,13 @@ def assemble_multisink_equilibrium(
     if np.any(zeta < 0.0) or abs(float(zeta.sum()) - 1.0) > 1e-9:
         raise ValueError("sink totals must be non-negative and sum to 1")
     x = np.zeros(structure.n)
-    for k, sink in enumerate(structure.sinks):
+    for k, idx in enumerate(structure.sink_index):
         total = float(zeta[k])
         if total == 0.0:
             continue
-        idx = np.asarray(sink, dtype=int) - 1
-        if len(sink) == 1:
+        if idx.size == 1:
             x[idx] = total
-        elif len(sink) == 2:
+        elif idx.size == 2:
             split = two_node_equilibrium(total)
             if split.is_family:
                 if alpha is None:

@@ -23,14 +23,12 @@ import numpy as np
 from .errors import EmptyAdviceSetError, ParseError
 from .netcore import (
     EPS_VALIDATION,
-    MultiSink,
-    NetworkStructure,
     RelativeInteractionMatrix,
     classify,
     Irreducible,
     validate_matrix,
 )
-from .dynamics import Converged, MaxStepsReached, Trajectory, VertexAbsorbed, sink_power
+from .dynamics import Converged, MaxStepsReached, Trajectory, VertexAbsorbed
 
 FORMAT_DENSE = "dense"
 FORMAT_ADJACENCY = "adjacency"
@@ -208,28 +206,18 @@ def _status_comment(status) -> str:
     return f"# status={status!r}"
 
 
-def write_trajectory_csv(
-    trajectory: Trajectory, path, structure: Optional[NetworkStructure] = None
-) -> None:
+def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Write recorded states as CSV: header ``t,x_1,...,x_n`` plus
     ``zeta_1,...,zeta_K`` columns for multi-sink runs, one row per recorded
     step at 17 significant digits, and a trailing ``# status=...`` line.
-
-    Pass `structure` to add the sink columns when the trajectory was
-    simulated without them.
     """
     if trajectory.states.shape[0] == 0:
         raise ValueError("trajectory holds no states")
     n = trajectory.states.shape[1]
-    zeta = trajectory.sink_power
-    if zeta is None and isinstance(structure, MultiSink):
-        zeta = np.vstack([sink_power(structure, row) for row in trajectory.states])
-        zeta_rows = zeta
-    elif zeta is not None:
-        # sink_power is per step; pick out the recorded steps
-        zeta_rows = zeta[trajectory.steps]
-    else:
-        zeta_rows = None
+    # sink_power is per step; pick out the recorded steps
+    zeta_rows = (
+        None if trajectory.sink_power is None else trajectory.sink_power[trajectory.steps]
+    )
     header = "t," + ",".join(f"x_{i}" for i in range(1, n + 1))
     if zeta_rows is not None:
         header += "," + ",".join(f"zeta_{k}" for k in range(1, zeta_rows.shape[1] + 1))

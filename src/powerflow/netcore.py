@@ -13,7 +13,7 @@ All node identifiers on public surfaces are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -276,6 +276,14 @@ class MultiSink:
     sinks: tuple[tuple[int, ...], ...]
     non_sink_nodes: tuple[int, ...]
     permutation: tuple[int, ...]
+    #: 0-based node indices of each sink, read-only, derived from `sinks`.
+    sink_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = tuple(np.asarray(s, dtype=int) - 1 for s in self.sinks)
+        for idx in index:
+            idx.setflags(write=False)
+        object.__setattr__(self, "sink_index", index)
 
     @property
     def num_sinks(self) -> int:

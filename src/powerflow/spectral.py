@@ -106,8 +106,7 @@ def centrality_profile(
         return CentralityProfile(global_c=lifted, per_sink=(c_sink,), lifted=(lifted,))
     per_sink = []
     lifted = []
-    for sink in structure.sinks:
-        idx = np.asarray(sink, dtype=int) - 1
+    for idx in structure.sink_index:
         c_k = dominant_left_eigenvector(C.entries[np.ix_(idx, idx)], eps)
         vec = np.zeros(C.n)
         vec[idx] = c_k

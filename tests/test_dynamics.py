@@ -1,10 +1,14 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powerflow as pf
-from powerflow.errors import InvalidInitialError, StructureMismatchError
+from powerflow.errors import InvalidInitialError, MassDriftError, StructureMismatchError
+from powerflow.netcore import RelativeInteractionMatrix
 
 import nets
 
@@ -293,6 +297,185 @@ class TestSimulate:
         traj = pf.simulate("st", C, np.full(10, 0.1), max_steps=100)
         assert traj.status == pf.MaxStepsReached(steps=100)
         assert traj.total_steps == 100
+
+
+def _stepwise_st(C, x, max_steps, record_every=1, eps_conv=pf.EPS_CONV, eps_simplex=pf.EPS_SIMPLEX):
+    """Reference run: one st_df_step call per step, with the documented
+    termination rules checked after every step."""
+    states, steps, deltas = [x], [0], []
+    t = 0
+    status = ("VertexAbsorbed", 0)
+    if pf.vertex_index(x, eps_simplex) is None or (
+        np.max(np.abs(pf.st_df_step(C, x) - x)) > eps_simplex
+    ):
+        status = ("MaxStepsReached", max_steps)
+        while t < max_steps:
+            nxt = pf.st_df_step(C, x)
+            t += 1
+            delta = np.max(np.abs(nxt - x))
+            deltas.append(delta)
+            x = nxt
+            if t % record_every == 0:
+                states.append(x)
+                steps.append(t)
+            fixed_dev = np.max(np.abs(pf.st_df_step(C, x) - x))
+            if pf.vertex_index(x, eps_simplex) is not None and fixed_dev <= eps_simplex:
+                status = ("VertexAbsorbed", t)
+                break
+            if delta < eps_conv and fixed_dev < 10 * eps_conv:
+                status = ("Converged", t)
+                break
+    if steps[-1] != t:
+        states.append(x)
+        steps.append(t)
+    return np.array(states), np.array(steps), np.array(deltas), status
+
+
+def _status_key(status):
+    if isinstance(status, pf.MaxStepsReached):
+        return ("MaxStepsReached", status.steps)
+    return (type(status).__name__, status.at)
+
+
+def _e(n, i):
+    x = np.zeros(n)
+    x[i - 1] = 1.0
+    return x
+
+
+def _two_large_sinks(rng, size=10, transient=3):
+    """Two dense sinks of `size` nodes plus `transient` nodes feeding both,
+    so sink totals sum more than eight terms."""
+    n = 2 * size + transient
+    entries = np.zeros((n, n))
+    for lo in (0, size):
+        block = rng.uniform(0.1, 1.0, (size, size))
+        np.fill_diagonal(block, 0.0)
+        entries[lo : lo + size, lo : lo + size] = block
+    entries[2 * size :, :] = rng.uniform(0.1, 1.0, (transient, n))
+    np.fill_diagonal(entries, 0.0)
+    return pf.validate_matrix(entries / entries.sum(axis=1, keepdims=True))
+
+
+# (first block, largest block) of the engine; None keeps the defaults.  Tiny
+# blocks put block boundaries on every step.
+BLOCK_SIZES = [None, (1, 1), (3, 3), (64, 64)]
+
+
+@pytest.fixture(params=BLOCK_SIZES, ids=lambda b: "default" if b is None else f"{b[0]}-{b[1]}")
+def block_sizes(request, monkeypatch):
+    from powerflow import dynamics
+
+    if request.param is not None:
+        monkeypatch.setattr(dynamics, "_FIRST_BLOCK", request.param[0])
+        monkeypatch.setattr(dynamics, "_MAX_BLOCK", request.param[1])
+    return request.param
+
+
+class TestBlockedEngine:
+    @pytest.mark.parametrize(
+        "make, x0, max_steps, record_every, eps_simplex",
+        [
+            (nets.three_node, np.array([0.2, 0.3, 0.5]), pf.DEFAULT_MAX_STEPS, 1, pf.EPS_SIMPLEX),
+            (nets.three_node, np.array([0.2, 0.3, 0.5]), pf.DEFAULT_MAX_STEPS, 3, pf.EPS_SIMPLEX),
+            (nets.reachable_pair, np.array([0.2, 0.2, 0.6]), pf.DEFAULT_MAX_STEPS, 1, pf.EPS_SIMPLEX),
+            (lambda: pf.build_star(10), np.full(10, 0.1), 1, 1, pf.EPS_SIMPLEX),
+            (lambda: pf.build_star(10), np.full(10, 0.1), 7, 1, pf.EPS_SIMPLEX),
+            (lambda: pf.build_star(10), np.full(10, 0.1), 1003, 1, pf.EPS_SIMPLEX),
+            (lambda: pf.build_star(10), np.full(10, 0.1), 1003, 7, pf.EPS_SIMPLEX),
+            # absorbed at the centre mid-run, within 1e-3 of e_1 at step 1115
+            (lambda: pf.build_star(10), np.full(10, 0.1), pf.DEFAULT_MAX_STEPS, 1, 1e-3),
+            (nets.three_node, _e(3, 3), pf.DEFAULT_MAX_STEPS, 1, pf.EPS_SIMPLEX),
+            (nets.transient_cycle_six, _e(6, 6), pf.DEFAULT_MAX_STEPS, 1, pf.EPS_SIMPLEX),
+            (nets.two_sink_six, None, pf.DEFAULT_MAX_STEPS, 1, pf.EPS_SIMPLEX),
+            (lambda: nets.random_valid(np.random.default_rng(5), 9), None, 300, 1, pf.EPS_SIMPLEX),
+            (lambda: nets.random_valid(np.random.default_rng(6), 40), None, pf.DEFAULT_MAX_STEPS, 5, pf.EPS_SIMPLEX),
+        ],
+    )
+    def test_st_matches_one_shot_steps(self, block_sizes, make, x0, max_steps, record_every, eps_simplex):
+        C = make()
+        if x0 is None:
+            x0 = nets.random_interior(np.random.default_rng(2), C.n)
+        traj = pf.simulate(
+            "st", C, x0, max_steps=max_steps, record_every=record_every, eps_simplex=eps_simplex
+        )
+        states, steps, deltas, status = _stepwise_st(
+            C, x0, max_steps, record_every, eps_simplex=eps_simplex
+        )
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.steps, steps)
+        assert np.array_equal(traj.step_deltas, deltas)
+        assert _status_key(traj.status) == status
+        if isinstance(traj.status, pf.Converged):
+            assert np.array_equal(traj.status.limit, traj.final_state)
+
+    @pytest.mark.parametrize(
+        "make", [nets.two_sink_six, lambda: _two_large_sinks(np.random.default_rng(3))]
+    )
+    def test_multi_sink_power_rows_match_sink_power(self, block_sizes, make):
+        C = make()
+        structure = pf.classify(C)
+        x0 = nets.random_interior(np.random.default_rng(2), C.n)
+        traj = pf.simulate("st", C, x0)
+        assert isinstance(traj.status, pf.Converged)
+        assert traj.sink_power.shape == (traj.total_steps + 1, structure.num_sinks)
+        for t, x in enumerate(traj.states):
+            assert np.array_equal(traj.sink_power[t], pf.sink_power(structure, x))
+        assert np.all(np.diff(traj.sink_power, axis=0) >= -1e-14)
+
+    def test_degenerate_pair_takes_no_step(self):
+        C = pf.validate_matrix([[0, 1], [1, 0]])
+        x0 = np.array([0.3, 0.7])
+        traj = pf.simulate("st", C, x0)
+        assert traj.status.at == 0 and isinstance(traj.status, pf.Converged)
+        assert np.array_equal(traj.states, x0[None, :])
+        assert np.array_equal(traj.steps, [0])
+        assert traj.step_deltas.size == 0
+        # every point is fixed, up to rounding
+        assert np.max(np.abs(pf.st_df_step(C, x0) - x0)) < 1e-15
+
+    @pytest.mark.parametrize("max_steps", [pf.DEFAULT_MAX_STEPS, 512, 600])
+    def test_drift_monitor_raises_at_first_check(self, block_sizes, max_steps):
+        # rows sum to 1 + 1e-8, so every step adds mass; validate_matrix
+        # would reject the matrix, so it is built directly
+        entries = (np.ones((3, 3)) - np.eye(3)) * 0.5 * (1.0 + 1e-8)
+        C = RelativeInteractionMatrix(entries)
+        with pytest.raises(
+            MassDriftError, match=r"^total self-weight drifted by 3\.41e-06 after 512 steps$"
+        ):
+            pf.simulate("st", C, np.array([0.2, 0.3, 0.5]), max_steps=max_steps)
+
+    def test_drift_check_reads_the_state_of_its_step(self, block_sizes):
+        # this excess takes the drift from 0.999e-9 at step 511 to 1.001e-9
+        # at step 512, just over the 1e-9 limit
+        entries = (np.ones((3, 3)) - np.eye(3)) * 0.5 * (1.0 + 2.9331e-12)
+        C = RelativeInteractionMatrix(entries)
+        x0 = np.array([0.2, 0.3, 0.5])
+        traj = pf.simulate("st", C, x0, eps_conv=0.0, max_steps=511)
+        assert traj.total_steps == 511
+        with pytest.raises(MassDriftError, match=r"after 512 steps$"):
+            pf.simulate("st", C, x0, eps_conv=0.0, max_steps=600)
+
+    def test_debug_line_per_block(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="powerflow.dynamics")
+        C = nets.three_node()
+        traj = pf.simulate("st", C, np.array([0.2, 0.3, 0.5]))
+        pattern = re.compile(
+            r"simulate block: steps=(\d+) block=(\d+) delta=(\S+) rate=(\S+)$"
+        )
+        blocks = [
+            pattern.match(r.getMessage())
+            for r in caplog.records
+            if r.getMessage().startswith("simulate block")
+        ]
+        assert len(blocks) >= 2 and all(blocks)
+        steps = [int(m.group(1)) for m in blocks]
+        lengths = [int(m.group(2)) for m in blocks]
+        assert steps == sorted(steps) and steps[-1] == traj.total_steps
+        assert float(blocks[-1].group(3)) == pytest.approx(traj.step_deltas[-1], rel=1e-2)
+        assert 0.0 < float(blocks[-1].group(4)) < 1.0
+        # the last block ran past the converged step; those steps are dropped
+        assert sum(lengths) > traj.total_steps
 
 
 class TestReducibleDecay:
