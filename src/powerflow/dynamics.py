@@ -96,13 +96,31 @@ def st_df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
     """One single-timescale update: C^T (x - x^2) + x^2.
 
     Vertices are exactly fixed with no rounding: at x = e_i the appraisal
-    term x - x^2 vanishes identically, leaving x^2 = e_i.  The product uses
-    a C-ordered copy of C^T, as :func:`simulate` does, so a trajectory
-    equals repeated calls of this function bit for bit.
+    term x - x^2 vanishes identically, leaving x^2 = e_i.  This function and
+    :func:`simulate` share one kernel on a C-ordered copy of C^T, so a
+    trajectory equals repeated calls of this function bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    x2 = x * x
-    return np.ascontiguousarray(C.entries.T) @ (x - x2) + x2
+    out = np.empty(x.size)
+    CT = np.ascontiguousarray(C.entries.T)
+    _st_steps(CT, [x, out], np.empty(x.size), np.empty(x.size))
+    return out
+
+
+def _st_steps(CT: np.ndarray, states, sq: np.ndarray, appraisal: np.ndarray) -> None:
+    """The st kernel: write CT (x - x^2) + x^2 of each vector x in
+    `states` into the next one, with `sq` and `appraisal` as scratch.
+
+    Four numpy calls per step with positional outputs; `np.dot` reaches the
+    same BLAS gemv as `@`.  The loop is here rather than in the caller
+    because a Python call per step would cost about a tenth of the step.
+    """
+    multiply, subtract, dot, add = np.multiply, np.subtract, np.dot, np.add
+    for x, out in zip(states, states[1:]):
+        multiply(x, x, sq)
+        subtract(x, sq, appraisal)
+        dot(CT, appraisal, out)
+        add(out, sq, out)
 
 
 @dataclass(frozen=True)
@@ -216,14 +234,31 @@ def df_step(
     absorbing = _absorbing(x)
     if plan is None or plan.absorbing != absorbing:
         plan = df_plan(C, absorbing, eps_spectral=eps_spectral)
-    out = np.zeros(x.size)
+    out = np.empty(x.size)
+    _df_step_into(plan, x, out)
+    return out
+
+
+def _df_step_into(plan: DfPlan, x: np.ndarray, out: np.ndarray) -> None:
+    """Write the df step of x into `out`; `plan` must be built for x's
+    exact vertex coordinates, which this does not check."""
+    out.fill(0.0)
     for s, w, c in zip(plan.classes, plan.weights, plan.centralities):
         if c is None:
             out[s] = w
         else:
             y = c / (1.0 - x[s])
             out[s] = (w / y.sum()) * y
-    return out / out.sum()
+    out /= out.sum()
+
+
+def _steps_planned(plan: DfPlan, states: np.ndarray) -> int:
+    """Number of leading rows of `states` that have exactly the plan's
+    exact vertex coordinates."""
+    planned = np.zeros(states.shape[1], dtype=bool)
+    planned[list(plan.absorbing)] = True
+    missed = np.flatnonzero(((states >= 1.0) != planned).any(axis=1))
+    return int(missed[0]) if missed.size else len(states)
 
 
 def sink_power(structure: NetworkStructure, x) -> np.ndarray:
@@ -331,7 +366,11 @@ def simulate(
     past the terminating one are discarded.  The step is deterministic, so
     states, deltas, steps and status are exactly those of stepping one at a
     time; the first block is short and later blocks are sized from the
-    contraction rate delta_t / delta_(t-1), logged at debug level.
+    contraction rate delta_t / delta_(t-1), logged at debug level.  Model
+    "st" steps with the kernel of :func:`st_df_step`, so a trajectory
+    equals repeated calls of it by construction; model "df" applies the
+    plan of :func:`df_step`, matched to the exact vertex coordinates once
+    per block, and ends a block at the first state where they change.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
@@ -345,29 +384,33 @@ def simulate(
         structure = classify(C)
     multi = isinstance(structure, MultiSink)
 
+    # advance(states) steps from states[0] into each later row in turn
     if model == SINGLE_TIMESCALE:
         CT = np.ascontiguousarray(C.entries.T)
         sq = np.empty(n)
         appraisal = np.empty(n)
-        multiply, subtract, matmul = np.multiply, np.subtract, np.matmul
 
-        def advance(pairs) -> None:
-            for prev, row in pairs:
-                multiply(prev, prev, out=sq)
-                subtract(prev, sq, out=appraisal)
-                matmul(CT, appraisal, out=row)
-                row += sq
+        def advance(states) -> None:
+            _st_steps(CT, states, sq, appraisal)
 
     else:
         plan = df_plan(C, structure=structure, eps_spectral=eps_spectral)
 
-        def advance(pairs) -> None:
-            for prev, row in pairs:
-                row[:] = df_step(C, prev, eps_spectral, plan=plan)
+        def advance(states) -> None:
+            # The plan fits states[0].  The block loop keeps the steps up to
+            # the first later state with other exact vertex coordinates; the
+            # steps taken from it may divide by 1 - x_i = 0 and are dropped.
+            nonlocal plan
+            absorbing = _absorbing(states[0])
+            if absorbing != plan.absorbing:
+                plan = df_plan(C, absorbing, structure, eps_spectral)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for prev, row in zip(states, states[1:]):
+                    _df_step_into(plan, prev, row)
 
     def fixed_point_deviation(v: np.ndarray) -> float:
         nxt = np.empty(n)
-        advance([(v, nxt)])
+        advance([v, nxt])
         return float(np.max(np.abs(nxt - v)))
 
     record_every = max(1, int(record_every))
@@ -394,7 +437,11 @@ def simulate(
             # rows[j] holds the state at step t + j for j = 0 .. k
             k = min(k, max_steps - t)
             rows.extend(buf[len(rows) : k + 1])
-            advance(zip(rows, rows[1 : k + 1]))
+            advance(rows[: k + 1])
+            if model == ORIGINAL_DF:
+                # a df state reaching or leaving a vertex coordinate needs
+                # another plan: the steps taken from it are dropped
+                k = 1 + _steps_planned(plan, buf[1:k])
             block = buf[1 : k + 1]
             deltas = np.abs(block - buf[:k]).max(axis=1)
             peaks = block.max(axis=1)

@@ -163,21 +163,21 @@ class Condensation:
 def _condensation(entries: np.ndarray) -> Condensation:
     """Condensation of the positive-entry pattern of any square matrix."""
     n = entries.shape[0]
-    adjacency = [np.flatnonzero(entries[i] > 0.0).tolist() for i in range(n)]
+    # one nonzero pass; its column list is cut into rows at the row offsets
+    heads, tails = np.nonzero(entries > 0.0)
+    offsets = np.searchsorted(heads, np.arange(n + 1)).tolist()
+    tails_list = tails.tolist()
+    adjacency = [tails_list[a:b] for a, b in zip(offsets, offsets[1:])]
     raw = _tarjan(adjacency)
-    component_index = [0] * n
+    component_index = np.empty(n, dtype=int)
     for k, component in enumerate(raw):
-        for v in component:
-            component_index[v] = k
-    edges = set()
-    for i in range(n):
-        for j in adjacency[i]:
-            if component_index[i] != component_index[j]:
-                edges.add((component_index[i], component_index[j]))
+        component_index[component] = k
+    src, dst = component_index[heads], component_index[tails]
+    cross = src != dst
     return Condensation(
         components=tuple(tuple(sorted(v + 1 for v in comp)) for comp in raw),
-        component_index=tuple(component_index),
-        edges=frozenset(edges),
+        component_index=tuple(component_index.tolist()),
+        edges=frozenset(zip(src[cross].tolist(), dst[cross].tolist())),
     )
 
 
@@ -222,11 +222,10 @@ def star_center(
     if k < 3:
         return None
     sub = C.entries[np.ix_(idx, idx)]
-    for p in range(k):
-        others = np.arange(k) != p
-        if np.all(sub[others, p] >= 1.0 - eps) and np.all(sub[p, others] > 0.0):
-            return int(idx[p]) + 1
-    return None
+    # both tests skip the diagonal: inf passes either (sub is a copy)
+    np.fill_diagonal(sub, np.inf)
+    centers = np.flatnonzero((sub >= 1.0 - eps).all(axis=0) & (sub > 0.0).all(axis=1))
+    return int(idx[centers[0]]) + 1 if centers.size else None
 
 
 @dataclass(frozen=True)

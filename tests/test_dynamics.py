@@ -1,5 +1,6 @@
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,23 @@ class TestClosedFormDfStep:
                 e[i] = 1.0
                 out = pf.df_step(C, e)
                 assert np.max(np.abs(out - _limit_power(C, e))) < 1e-10
+
+    def test_simulate_reads_vertex_coordinates_once_per_block(self, monkeypatch):
+        from powerflow import dynamics
+
+        calls = []
+        absorbing = dynamics._absorbing
+
+        def counted_absorbing(x):
+            calls.append(1)
+            return absorbing(x)
+
+        monkeypatch.setattr(dynamics, "_absorbing", counted_absorbing)
+        x0 = nets.random_interior(np.random.default_rng(43), 3)
+        traj = pf.simulate("df", nets.three_node(), x0, eps_conv=0.0, max_steps=200)
+        assert traj.total_steps == 200
+        # one call per block: blocks of 8, 16, 32, 64, 80 steps
+        assert len(calls) <= 10
 
     @pytest.mark.parametrize(
         "make, start",
@@ -390,6 +408,7 @@ class TestBlockedEngine:
             (nets.two_sink_six, None, pf.DEFAULT_MAX_STEPS, 1, pf.EPS_SIMPLEX),
             (lambda: nets.random_valid(np.random.default_rng(5), 9), None, 300, 1, pf.EPS_SIMPLEX),
             (lambda: nets.random_valid(np.random.default_rng(6), 40), None, pf.DEFAULT_MAX_STEPS, 5, pf.EPS_SIMPLEX),
+            (lambda: nets.random_valid(np.random.default_rng(7), 300), None, pf.DEFAULT_MAX_STEPS, 1, pf.EPS_SIMPLEX),
         ],
     )
     def test_st_matches_one_shot_steps(self, block_sizes, make, x0, max_steps, record_every, eps_simplex):
@@ -455,6 +474,23 @@ class TestBlockedEngine:
         assert traj.total_steps == 511
         with pytest.raises(MassDriftError, match=r"after 512 steps$"):
             pf.simulate("st", C, x0, eps_conv=0.0, max_steps=600)
+
+    @pytest.mark.parametrize("leaf_mass, vertex_step", [(20e-17, 1), (28e-17, 2)])
+    def test_df_state_reaching_a_vertex_coordinate_mid_block(self, block_sizes, leaf_mass, vertex_step):
+        # rounding puts x_1 at exactly 1.0 after `vertex_step` steps; the next
+        # step needs the plan of that vertex coordinate and lands on e_1
+        C = pf.build_star(10)
+        x = np.full(10, leaf_mass / 9)
+        x[0] = 1.0 - x[1:].sum()
+        states = [x]
+        for _ in range(vertex_step + 1):
+            states.append(pf.df_step(C, states[-1]))
+        assert states[vertex_step][0] == 1.0 and np.array_equal(states[-1], _e(10, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = pf.simulate("df", C, x, eps_conv=0.0, eps_simplex=0.0, max_steps=50)
+        assert np.array_equal(traj.states, np.array(states))
+        assert _status_key(traj.status) == ("VertexAbsorbed", vertex_step + 1)
 
     def test_debug_line_per_block(self, caplog):
         caplog.set_level(logging.DEBUG, logger="powerflow.dynamics")

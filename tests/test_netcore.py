@@ -12,6 +12,8 @@ from powerflow.errors import (
     RowSumOutOfToleranceError,
 )
 
+from powerflow.netcore import Condensation, _condensation, _tarjan
+
 import nets
 
 
@@ -95,6 +97,27 @@ def _brute_force_sinks(entries, components):
     return sinks
 
 
+def _condensation_per_row(entries):
+    """Reference: the adjacency built row by row with one flatnonzero each."""
+    n = entries.shape[0]
+    adjacency = [np.flatnonzero(entries[i] > 0.0).tolist() for i in range(n)]
+    raw = _tarjan(adjacency)
+    component_index = [0] * n
+    for k, component in enumerate(raw):
+        for v in component:
+            component_index[v] = k
+    edges = set()
+    for i in range(n):
+        for j in adjacency[i]:
+            if component_index[i] != component_index[j]:
+                edges.add((component_index[i], component_index[j]))
+    return Condensation(
+        components=tuple(tuple(sorted(v + 1 for v in comp)) for comp in raw),
+        component_index=tuple(component_index),
+        edges=frozenset(edges),
+    )
+
+
 class TestStronglyConnectedComponents:
     def test_ring_is_one_component(self):
         cond = pf.strongly_connected_components(nets.ring3())
@@ -131,6 +154,38 @@ class TestStronglyConnectedComponents:
             expected_sinks = _brute_force_sinks(C.entries, expected)
             assert {cond.components[k] for k in cond.sinks} == expected_sinks
 
+    def test_matches_per_row_adjacency_on_sparse_digraphs(self):
+        # raw patterns, not validated: rows may be empty, the last ones too
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            entries = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 0.3))
+            entries[rng.random(n) < 0.2] = 0.0
+            assert _condensation(entries) == _condensation_per_row(entries)
+
+    def test_matches_per_row_adjacency_with_self_loops(self):
+        # W(x) at an exact vertex: row i is e_i, a self-loop and nothing else
+        rng = np.random.default_rng(12)
+        for C in (nets.reducible_star_ten(), nets.two_sink_six(), nets.transient_cycle_six()):
+            for i in range(C.n):
+                W = pf.influence_matrix(C, np.eye(C.n)[i]).entries
+                cond = _condensation(W)
+                assert cond == _condensation_per_row(W)
+                assert (i + 1,) in cond.components
+            W = pf.influence_matrix(C, nets.random_interior(rng, C.n)).entries
+            assert _condensation(W) == _condensation_per_row(W)
+
+    def test_matches_per_row_adjacency_with_single_entry_rows(self):
+        # star leaves and a directed ring: every such row has one entry
+        rng = np.random.default_rng(13)
+        for C in (pf.build_star(12), nets.ring3(), nets.reducible_star_ten()):
+            assert _condensation(C.entries) == _condensation_per_row(C.entries)
+        for _ in range(50):
+            n = int(rng.integers(2, 30))
+            entries = np.zeros((n, n))
+            entries[np.arange(n), (np.arange(n) + rng.integers(1, n, n)) % n] = 1.0
+            assert _condensation(entries) == _condensation_per_row(entries)
+
 
 class TestGloballyReachableSet:
     def test_irreducible_gives_all_nodes(self):
@@ -141,6 +196,35 @@ class TestGloballyReachableSet:
 
     def test_two_sinks_give_empty(self):
         assert pf.globally_reachable_set(nets.two_sink_five()) == ()
+
+
+def _star_center_per_node(C, nodes=None, eps=pf.EPS_VALIDATION):
+    """Reference: the star predicate tested one candidate at a time."""
+    idx = np.arange(C.n) if nodes is None else np.asarray(sorted(nodes), dtype=int) - 1
+    k = idx.size
+    if k < 3:
+        return None
+    sub = C.entries[np.ix_(idx, idx)]
+    for p in range(k):
+        others = np.arange(k) != p
+        if np.all(sub[others, p] >= 1.0 - eps) and np.all(sub[p, others] > 0.0):
+            return int(idx[p]) + 1
+    return None
+
+
+def _random_star(rng, n, center, leaf_weight=1.0):
+    """Star on n nodes with random hub weights; every leaf gives
+    `leaf_weight` to the hub and the rest to one other leaf."""
+    entries = np.zeros((n, n))
+    entries[center] = rng.uniform(0.1, 1.0, n)
+    entries[center, center] = 0.0
+    entries[center] /= entries[center].sum()
+    for leaf in range(n):
+        if leaf != center:
+            other = next(j for j in range(n) if j not in (leaf, center))
+            entries[leaf, center] = leaf_weight
+            entries[leaf, other] = 1.0 - leaf_weight
+    return pf.validate_matrix(entries)
 
 
 class TestStarCenter:
@@ -165,6 +249,62 @@ class TestStarCenter:
         h = pf.star_center(C)
         rows = [i for i in range(7) if i != h - 1]
         assert np.all(C.entries[rows, h - 1] >= 1.0 - pf.EPS_VALIDATION)
+
+    def test_matches_definition_on_random_groups(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            n = int(rng.integers(3, 25))
+            center = int(rng.integers(n))
+            ring = np.roll(np.eye(n), 1, axis=1)
+            for C in (
+                _random_star(rng, n, center),
+                pf.validate_matrix(ring),
+                nets.random_valid(rng, n),
+            ):
+                assert pf.star_center(C) == _star_center_per_node(C)
+                size = int(rng.integers(0, n + 1))
+                nodes = sorted(rng.choice(np.arange(1, n + 1), size, replace=False).tolist())
+                assert pf.star_center(C, nodes) == _star_center_per_node(C, nodes)
+
+    def test_near_star_at_the_tolerance(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            n = int(rng.integers(4, 20))
+            center = int(rng.integers(n))
+            for shift, expected in ((1e-12, center + 1), (-1e-12, None)):
+                C = _random_star(rng, n, center, 1.0 - pf.EPS_VALIDATION + shift)
+                assert _star_center_per_node(C) == expected
+                assert pf.star_center(C) == expected
+
+    def test_star_on_random_subset(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n = int(rng.integers(6, 20))
+            group = np.sort(rng.choice(n, int(rng.integers(3, n)), replace=False))
+            entries = rng.random((n, n))
+            np.fill_diagonal(entries, 0.0)
+            star = _random_star(rng, group.size, int(rng.integers(group.size))).entries
+            entries[np.ix_(group, group)] = star
+            entries[group[:, None], np.setdiff1d(np.arange(n), group)] = 0.0
+            C = pf.validate_matrix(entries / entries.sum(axis=1, keepdims=True))
+            nodes = (group + 1).tolist()
+            assert pf.star_center(C, nodes) == _star_center_per_node(C, nodes) is not None
+            assert pf.star_center(C) == _star_center_per_node(C)
+
+    def test_groups_below_three_nodes(self):
+        C = pf.build_star(6)
+        for nodes in ([], [1], [1, 2], [3, 5]):
+            assert pf.star_center(C, nodes) is None
+            assert _star_center_per_node(C, nodes) is None
+
+    def test_first_of_two_hubs_wins(self):
+        # with eps = 0.6 a column qualifies at 0.4: nodes 2 and 3 both do
+        C = pf.validate_matrix([[0, 0.5, 0.5], [0.2, 0, 0.8], [0.2, 0.8, 0]])
+        assert pf.star_center(C, eps=0.6) == _star_center_per_node(C, eps=0.6) == 2
+        # every node of the uniform triangle qualifies
+        C = pf.validate_matrix([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]])
+        assert pf.star_center(C, eps=0.6) == _star_center_per_node(C, eps=0.6) == 1
+        assert pf.star_center(C, [3, 2, 1], eps=0.6) == 1
 
 
 class TestClassify:
