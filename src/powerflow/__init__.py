@@ -7,130 +7,68 @@ structure classification (irreducible, reducible with a reachable set,
 multi-sink), eigenvector centrality, trajectory simulation with per-sink
 power tracking, equilibrium solvers and limit prediction, plus file
 ingestion and a CLI.
+
+The public names below load their module on first access, so importing
+the package, or a command that needs only part of it, loads only that
+part.
 """
 
-from . import errors
-from .netcore import (
-    EPS_VALIDATION,
-    Condensation,
-    Irreducible,
-    MultiSink,
-    NetworkStructure,
-    ReducibleReachable,
-    RelativeInteractionMatrix,
-    classify,
-    globally_reachable_set,
-    star_center,
-    strongly_connected_components,
-    validate_matrix,
-)
-from .spectral import (
-    EPS_SPECTRAL,
-    CentralityProfile,
-    InfluenceMatrix,
-    centrality_profile,
-    dominant_left_eigenvector,
-    influence_matrix,
-)
-from .dynamics import (
-    DEFAULT_MAX_STEPS,
-    EPS_CONV,
-    EPS_SIMPLEX,
-    MODELS,
-    ORIGINAL_DF,
-    SINGLE_TIMESCALE,
-    Converged,
-    DfPlan,
-    MaxStepsReached,
-    Trajectory,
-    VertexAbsorbed,
-    check_simplex,
-    df_plan,
-    df_step,
-    simulate,
-    sink_power,
-    st_df_step,
-    vertex_index,
-)
-from .equilibria import (
-    EPS_EQUILIBRIUM,
-    EPS_TIE,
-    ComparisonReport,
-    EquilibriumPrediction,
-    TwoNodeEquilibrium,
-    assemble_multisink_equilibrium,
-    compare_models,
-    fixed_point_residual,
-    predict_limit,
-    regime_name,
-    solve_interior_equilibrium,
-    two_node_equilibrium,
-)
-from .io import (
-    build_doubly_stochastic_random,
-    build_ring,
-    build_star,
-    load_network,
-    write_matrix,
-    write_trajectory_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "EPS_VALIDATION",
-    "EPS_SPECTRAL",
-    "EPS_SIMPLEX",
-    "EPS_CONV",
-    "EPS_EQUILIBRIUM",
-    "EPS_TIE",
-    "DEFAULT_MAX_STEPS",
-    "MODELS",
-    "SINGLE_TIMESCALE",
-    "ORIGINAL_DF",
-    "Condensation",
-    "RelativeInteractionMatrix",
-    "NetworkStructure",
-    "Irreducible",
-    "ReducibleReachable",
-    "MultiSink",
-    "CentralityProfile",
-    "InfluenceMatrix",
-    "Trajectory",
-    "DfPlan",
-    "Converged",
-    "MaxStepsReached",
-    "VertexAbsorbed",
-    "EquilibriumPrediction",
-    "TwoNodeEquilibrium",
-    "ComparisonReport",
-    "validate_matrix",
-    "strongly_connected_components",
-    "globally_reachable_set",
-    "star_center",
-    "classify",
-    "dominant_left_eigenvector",
-    "centrality_profile",
-    "influence_matrix",
-    "check_simplex",
-    "vertex_index",
-    "st_df_step",
-    "df_plan",
-    "df_step",
-    "simulate",
-    "sink_power",
-    "fixed_point_residual",
-    "solve_interior_equilibrium",
-    "two_node_equilibrium",
-    "predict_limit",
-    "assemble_multisink_equilibrium",
-    "compare_models",
-    "regime_name",
-    "load_network",
-    "write_matrix",
-    "build_star",
-    "build_ring",
-    "build_doubly_stochastic_random",
-    "write_trajectory_csv",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("defaults", (
+            "EPS_CONV", "EPS_EQUILIBRIUM", "EPS_TIE", "DEFAULT_MAX_STEPS",
+            "MODELS", "SINGLE_TIMESCALE", "ORIGINAL_DF",
+        )),
+        ("netcore", (
+            "EPS_VALIDATION", "Condensation", "RelativeInteractionMatrix",
+            "NetworkStructure", "Irreducible", "ReducibleReachable", "MultiSink",
+            "validate_matrix", "strongly_connected_components",
+            "globally_reachable_set", "star_center", "classify",
+        )),
+        ("spectral", (
+            "EPS_SPECTRAL", "CentralityProfile", "InfluenceMatrix",
+            "dominant_left_eigenvector", "centrality_profile", "influence_matrix",
+        )),
+        ("dynamics", (
+            "EPS_SIMPLEX", "Trajectory", "DfPlan", "Converged", "MaxStepsReached",
+            "VertexAbsorbed", "check_simplex", "vertex_index", "st_df_step",
+            "df_plan", "df_step", "simulate", "sink_power",
+        )),
+        ("equilibria", (
+            "EquilibriumPrediction", "TwoNodeEquilibrium", "ComparisonReport",
+            "fixed_point_residual", "solve_interior_equilibrium",
+            "two_node_equilibrium", "predict_limit",
+            "assemble_multisink_equilibrium", "compare_models", "regime_name",
+        )),
+        ("io", (
+            "load_network", "write_matrix", "build_star", "build_ring",
+            "build_doubly_stochastic_random", "write_trajectory_csv",
+        )),
+    )
+    for name in names
+}
+
+_SUBMODULES = ("defaults", "dynamics", "equilibria", "errors", "io", "netcore", "spectral")
+
+__all__ = ["errors", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

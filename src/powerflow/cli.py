@@ -11,37 +11,27 @@ Grammar::
 The environment variable POWERFLOW_LOG (off, info, debug) controls log
 verbosity on stderr.  Exit codes: 0 on success, 2 on input problems
 (files, flags, malformed matrices, bad initial vectors), 1 on runtime
-failures.  Output is deterministic for fixed flags and seeds.
+failures.  Output is deterministic for fixed flags and seeds and a fixed
+BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import sys
 import numpy as np
 
 from . import io as netio
-from .dynamics import (
-    Converged,
+from .defaults import (
     DEFAULT_MAX_STEPS,
     EPS_CONV,
-    MODELS,
-    SINGLE_TIMESCALE,
-    Trajectory,
-    VertexAbsorbed,
-    simulate,
-    vertex_index,
-)
-from .equilibria import (
     EPS_EQUILIBRIUM,
     EPS_TIE,
-    assemble_multisink_equilibrium,
-    compare_models,
-    fixed_point_residual,
-    regime_name,
-    solve_interior_equilibrium,
+    MODELS,
+    SINGLE_TIMESCALE,
 )
 from .errors import (
     EmptyAdviceSetError,
@@ -59,7 +49,24 @@ from .netcore import (
 )
 from .spectral import centrality_profile
 
-logger = logging.getLogger(__name__)
+# The dynamics and equilibria modules load only in the commands that run
+# them.  The library functions those commands call stay resolvable here as
+# module attributes, through the package's lazy exports.
+_DEFERRED = frozenset({
+    "simulate",
+    "vertex_index",
+    "assemble_multisink_equilibrium",
+    "compare_models",
+    "fixed_point_residual",
+    "regime_name",
+    "solve_interior_equilibrium",
+})
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(__package__), name)
 
 
 def _configure_logging() -> None:
@@ -90,6 +97,8 @@ def _node_set(nodes) -> str:
 
 
 def _pretty_limit(x) -> str:
+    from .dynamics import vertex_index
+
     # display label only: 1e-3 matches the distance scale of the slow
     # asymptotic star regimes
     v = vertex_index(np.asarray(x, dtype=float), eps=1e-3)
@@ -195,7 +204,10 @@ def cmd_centrality(args) -> int:
     return 0
 
 
-def _print_summary(C, structure, trajectory: Trajectory) -> None:
+def _print_summary(C, structure, trajectory) -> None:
+    from .dynamics import Converged, VertexAbsorbed
+    from .equilibria import fixed_point_residual
+
     status = trajectory.status
     if isinstance(status, Converged):
         print(f"status: converged at step {status.at}")
@@ -211,6 +223,8 @@ def _print_summary(C, structure, trajectory: Trajectory) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .dynamics import simulate
+
     C = _load_network(args)
     structure = classify(C)
     x0 = _resolve_x0(args.x0, C.n)
@@ -223,14 +237,22 @@ def cmd_simulate(args) -> int:
         netio.write_trajectory_csv(trajectory, args.out)
         print(f"wrote trajectory: {args.out}")
     elif not args.quiet:
-        for row_idx, t in enumerate(trajectory.steps):
-            state = ",".join(_fmt(v) for v in trajectory.states[row_idx])
-            print(f"{int(t)},{state}")
+        # one format per row; "%.12g" is _fmt's format
+        row_format = "%d," + ",".join(["%.12g"] * C.n)
+        for t, state in zip(trajectory.steps.tolist(), trajectory.states):
+            print(row_format % (t, *state.tolist()))
     _print_summary(C, structure, trajectory)
     return 0
 
 
 def cmd_equilibrium(args) -> int:
+    from .equilibria import (
+        assemble_multisink_equilibrium,
+        fixed_point_residual,
+        regime_name,
+        solve_interior_equilibrium,
+    )
+
     C = _load_network(args)
     structure = classify(C)
     profile = centrality_profile(C, structure)
@@ -290,20 +312,32 @@ def cmd_equilibrium(args) -> int:
     return 0
 
 
+#: pairs compared per block by the ordering check
+_PAIR_BLOCK = 1 << 14
+
+
 def _ordering_consistent(x_star, c, eps_tie: float = EPS_TIE) -> bool:
     """True when, over all pairs (i, j), a higher score c_i > c_j + eps_tie
     gives a higher power x_i > x_j and tied scores give powers within
     10 * eps_tie."""
     c = np.asarray(c, dtype=float)
     x = np.asarray(x_star, dtype=float)
-    inverted = (c[:, None] > c + eps_tie) & (x[:, None] <= x)
-    split_tie = (np.abs(c[:, None] - c) < eps_tie) & (
-        np.abs(x[:, None] - x) > 10 * eps_tie
-    )
-    return not (inverted.any() or split_tie.any())
+    c_above = c + eps_tie
+    # the pair tables a block of rows at a time: O(n) memory, not O(n^2)
+    rows = max(1, _PAIR_BLOCK // max(c.size, 1))
+    for start in range(0, c.size, rows):
+        c_i = c[start:start + rows, None]
+        x_i = x[start:start + rows, None]
+        inverted = (c_i > c_above) & (x_i <= x)
+        split_tie = (np.abs(c_i - c) < eps_tie) & (np.abs(x_i - x) > 10 * eps_tie)
+        if inverted.any() or split_tie.any():
+            return False
+    return True
 
 
 def cmd_compare(args) -> int:
+    from .equilibria import compare_models
+
     C = _load_network(args)
     structure = classify(C)
     x0 = _resolve_x0(args.x0, C.n)

@@ -34,6 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .defaults import DEFAULT_MAX_STEPS, EPS_CONV, MODELS, ORIGINAL_DF, SINGLE_TIMESCALE
 from .errors import InvalidInitialError, MassDriftError, StructureMismatchError
 from .netcore import (
     Irreducible,
@@ -48,15 +49,8 @@ from .spectral import EPS_SPECTRAL, dominant_left_eigenvector, influence_matrix
 
 logger = logging.getLogger(__name__)
 
-SINGLE_TIMESCALE = "st"
-ORIGINAL_DF = "df"
-MODELS = (SINGLE_TIMESCALE, ORIGINAL_DF)
-
 #: Simplex membership and vertex detection tolerance.
 EPS_SIMPLEX = 1e-9
-#: Default step-delta convergence threshold.
-EPS_CONV = 1e-12
-DEFAULT_MAX_STEPS = 10**6
 
 # The update conserves total mass exactly in real arithmetic; anything past
 # accumulation noise means a defect, so the monitor aborts rather than

@@ -21,12 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (
-    EPS_CONV,
-    EPS_SIMPLEX,
+from .defaults import (
     DEFAULT_MAX_STEPS,
+    EPS_CONV,
+    EPS_EQUILIBRIUM,
     ORIGINAL_DF,
     SINGLE_TIMESCALE,
+)
+from .dynamics import (
+    EPS_SIMPLEX,
     Trajectory,
     check_simplex,
     simulate,
@@ -50,11 +53,7 @@ from .netcore import (
 )
 from .spectral import CentralityProfile
 
-#: Step tolerance of the interior-equilibrium solver.
-EPS_EQUILIBRIUM = 1e-13
 MAX_SOLVER_ITERATIONS = 10**5
-#: Two centrality scores closer than this are treated as tied.
-EPS_TIE = 1e-9
 # Boundary of the regime where the interior point degenerates into a vertex.
 _CENTER_DOMINANT_MARGIN = 1e-12
 

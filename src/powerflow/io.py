@@ -28,10 +28,11 @@ from .netcore import (
     Irreducible,
     validate_matrix,
 )
-from .dynamics import Converged, MaxStepsReached, Trajectory, VertexAbsorbed
 
 FORMAT_DENSE = "dense"
 FORMAT_ADJACENCY = "adjacency"
+#: values formatted per write of a trajectory CSV
+_CSV_CHUNK_VALUES = 1 << 16
 
 
 def _content_lines(path) -> list[tuple[int, str]]:
@@ -47,25 +48,26 @@ def _content_lines(path) -> list[tuple[int, str]]:
 
 
 def _parse_dense(lines: list[tuple[int, str]], eps: float) -> RelativeInteractionMatrix:
-    rows = []
-    width = None
-    for line_no, text in lines:
+    if not lines:
+        raise ParseError(0, "file holds no matrix rows")
+    entries = None
+    for i, (line_no, text) in enumerate(lines):
         parts = text.replace(",", " ").split()
         try:
-            row = [float(p) for p in parts]
+            # numpy converts each str with Python's float(), so the
+            # accepted spellings ("1_0", "inf", ...) are float()'s
+            row = np.array(parts, dtype=float)
         except ValueError:
             bad = next(p for p in parts if not _is_float(p))
             raise ParseError(line_no, f"not a number: {bad!r}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if entries is None:
+            entries = np.empty((len(lines), row.size))
+        elif row.size != entries.shape[1]:
             raise ParseError(
-                line_no, f"expected {width} values per row, got {len(row)}"
+                line_no, f"expected {entries.shape[1]} values per row, got {row.size}"
             )
-        rows.append(row)
-    if not rows:
-        raise ParseError(0, "file holds no matrix rows")
-    return validate_matrix(np.asarray(rows, dtype=float), eps)
+        entries[i] = row
+    return validate_matrix(entries, eps)
 
 
 def _is_float(token: str) -> bool:
@@ -197,6 +199,8 @@ def build_doubly_stochastic_random(n: int, seed: int) -> RelativeInteractionMatr
 
 
 def _status_comment(status) -> str:
+    from .dynamics import Converged, MaxStepsReached, VertexAbsorbed
+
     if isinstance(status, Converged):
         return f"# status=converged at={status.at}"
     if isinstance(status, VertexAbsorbed):
@@ -206,7 +210,7 @@ def _status_comment(status) -> str:
     return f"# status={status!r}"
 
 
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
+def write_trajectory_csv(trajectory, path) -> None:
     """Write recorded states as CSV: header ``t,x_1,...,x_n`` plus
     ``zeta_1,...,zeta_K`` columns for multi-sink runs, one row per recorded
     step at 17 significant digits, and a trailing ``# status=...`` line.
@@ -214,18 +218,18 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     if trajectory.states.shape[0] == 0:
         raise ValueError("trajectory holds no states")
     n = trajectory.states.shape[1]
-    # sink_power is per step; pick out the recorded steps
-    zeta_rows = (
-        None if trajectory.sink_power is None else trajectory.sink_power[trajectory.steps]
-    )
-    header = "t," + ",".join(f"x_{i}" for i in range(1, n + 1))
-    if zeta_rows is not None:
-        header += "," + ",".join(f"zeta_{k}" for k in range(1, zeta_rows.shape[1] + 1))
+    columns = [trajectory.steps[:, None], trajectory.states]
+    names = [f"x_{i}" for i in range(1, n + 1)]
+    if trajectory.sink_power is not None:
+        # sink_power is per step; pick out the recorded steps
+        columns.append(trajectory.sink_power[trajectory.steps])
+        names += [f"zeta_{k}" for k in range(1, columns[-1].shape[1] + 1)]
+    row_format = "%d," + ",".join(["%.17g"] * len(names)) + "\n"
+    # bounds the Python floats held at once to about _CSV_CHUNK_VALUES
+    chunk = max(1, _CSV_CHUNK_VALUES // (len(names) + 1))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(header + "\n")
-        for row_idx, t in enumerate(trajectory.steps):
-            values = [format(v, ".17g") for v in trajectory.states[row_idx]]
-            if zeta_rows is not None:
-                values += [format(v, ".17g") for v in zeta_rows[row_idx]]
-            handle.write(f"{int(t)}," + ",".join(values) + "\n")
+        handle.write("t," + ",".join(names) + "\n")
+        for start in range(0, trajectory.states.shape[0], chunk):
+            table = np.hstack([c[start:start + chunk] for c in columns])
+            handle.write("".join(row_format % tuple(row) for row in table.tolist()))
         handle.write(_status_comment(trajectory.status) + "\n")

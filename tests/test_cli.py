@@ -257,3 +257,25 @@ class TestOrderingCheck:
             if rng.random() < 0.5:
                 x = c + rng.integers(-1, 2, n) * 1e-9
             assert _ordering_consistent(x, c) == _ordering_reference(x, c)
+
+    def test_matches_reference_at_n_1000_with_ties(self):
+        # n = 1000 spans several row blocks of the check; the reference
+        # runs on Python floats, which round exactly as float64 does
+        rng = np.random.default_rng(33)
+        n = 1000
+        outcomes = []
+        for case in range(6):
+            levels = np.sort(rng.random(60))
+            c = levels[rng.integers(0, levels.size, n)]
+            c[rng.random(n) < 0.2] += 4e-10  # near ties inside eps_tie
+            x = 0.5 * c + rng.integers(-1, 2, n) * 3e-9  # tied powers within 10 eps
+            if case % 2:
+                i, j = rng.choice(n, 2, replace=False)
+                if case % 4 == 1:
+                    x[i], x[j] = x[j], x[i]  # an inversion, or a split tie
+                else:
+                    x[int(np.argmax(c == c[i]))] += 1e-7  # a split tie
+            expected = _ordering_reference(x.tolist(), c.tolist())
+            assert _ordering_consistent(x, c) == expected
+            outcomes.append(expected)
+        assert True in outcomes and False in outcomes

@@ -240,3 +240,123 @@ class TestSyntheticStandIns:
         assert structure.sink_sizes == (2, 13)
         assert structure.m == 3
         assert structure.sinks[0] == (1, 2)
+
+
+def _write_csv_per_value(trajectory, path):
+    """The per-value writer that write_trajectory_csv replaced, kept as the
+    reference for its bytes."""
+    n = trajectory.states.shape[1]
+    zeta_rows = (
+        None if trajectory.sink_power is None else trajectory.sink_power[trajectory.steps]
+    )
+    header = "t," + ",".join(f"x_{i}" for i in range(1, n + 1))
+    if zeta_rows is not None:
+        header += "," + ",".join(f"zeta_{k}" for k in range(1, zeta_rows.shape[1] + 1))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(header + "\n")
+        for row_idx, t in enumerate(trajectory.steps):
+            values = [format(v, ".17g") for v in trajectory.states[row_idx]]
+            if zeta_rows is not None:
+                values += [format(v, ".17g") for v in zeta_rows[row_idx]]
+            handle.write(f"{int(t)}," + ",".join(values) + "\n")
+        handle.write(pf.io._status_comment(trajectory.status) + "\n")
+
+
+class TestTrajectoryCsvBytes:
+    def _assert_same_bytes(self, traj, tmp_path):
+        pf.write_trajectory_csv(traj, tmp_path / "new.csv")
+        _write_csv_per_value(traj, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_single_sink_run(self, tmp_path):
+        traj = pf.simulate("st", nets.three_node(), np.array([0.2, 0.3, 0.5]))
+        self._assert_same_bytes(traj, tmp_path)
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("model", ["st", "df"])
+    def test_multi_sink_zeta_columns(self, tmp_path, model, record_every):
+        C = nets.two_sink_five()
+        x0 = np.array([0.1, 0.3, 0.2, 0.15, 0.25])
+        traj = pf.simulate(model, C, x0, record_every=record_every)
+        assert traj.sink_power is not None
+        self._assert_same_bytes(traj, tmp_path)
+
+    def test_extreme_values(self, tmp_path):
+        states = np.array([
+            [-0.0, 5e-324, 1.0 - 2.0**-53],
+            [0.0, 1.0, 2.0**-1074 * 3],
+            [1.0 / 3.0, 1e-300, 1e300],
+            [np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), -1e-17],
+        ])
+        sink_power = np.array([[-0.0, 1.0], [5e-324, 1.0 - 2.0**-53],
+                               [0.5, 0.5], [2.0 / 3.0, 1.0 / 3.0],
+                               [0.1, 0.2], [0.7, 0.3]])
+        traj = pf.Trajectory(
+            states=states,
+            steps=np.array([0, 1, 3, 5]),
+            step_deltas=np.zeros(5),
+            status=pf.MaxStepsReached(steps=5),
+            sink_power=sink_power,
+        )
+        self._assert_same_bytes(traj, tmp_path)
+        first = (tmp_path / "new.csv").read_text().splitlines()[1]
+        assert first == "0,-0,4.9406564584124654e-324,0.99999999999999989,-0,1"
+
+    def test_rows_split_across_chunks(self, tmp_path, monkeypatch):
+        traj = pf.simulate("st", nets.two_sink_five(), np.full(5, 0.2), record_every=3)
+        for chunk_values in (1, 5, 8, 17):
+            monkeypatch.setattr(pf.io, "_CSV_CHUNK_VALUES", chunk_values)
+            self._assert_same_bytes(traj, tmp_path)
+
+    def test_long_run_spans_several_default_chunks(self, tmp_path):
+        traj = pf.simulate("st", pf.build_star(12), np.full(12, 1 / 12), max_steps=12000)
+        assert traj.states.size > 2 * pf.io._CSV_CHUNK_VALUES
+        self._assert_same_bytes(traj, tmp_path)
+
+
+class TestDenseParserSemantics:
+    def test_bad_token_on_later_row(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# header\n0 0.5 0.5\n1 0 0\n\n0.5 0.5e x\n")
+        with pytest.raises(ParseError) as err:
+            pf.load_network(path)
+        assert err.value.line_no == 5
+        assert str(err.value) == "line 5: not a number: '0.5e'"
+
+    def test_ragged_row_message(self, tmp_path):
+        path = tmp_path / "ragged.txt"
+        path.write_text("0 0.5 0.5\n1 0 0\n0.5 0.5\n")
+        with pytest.raises(ParseError) as err:
+            pf.load_network(path)
+        assert err.value.line_no == 3
+        assert str(err.value) == "line 3: expected 3 values per row, got 2"
+
+    def test_bad_token_reported_before_row_length(self, tmp_path):
+        path = tmp_path / "both.txt"
+        path.write_text("0 1\n1 0 oops\n")
+        with pytest.raises(ParseError) as err:
+            pf.load_network(path)
+        assert str(err.value) == "line 2: not a number: 'oops'"
+
+    def test_python_float_spellings(self, tmp_path):
+        path = tmp_path / "spellings.txt"
+        path.write_text("0 1_0e-1\n+1. -0\n")
+        C = pf.load_network(path)
+        assert np.array_equal(C.entries, [[0.0, 1.0], [1.0, 0.0]])
+        (tmp_path / "ten.txt").write_text("0 1_0\n1 0\n")
+        with pytest.raises(RowSumOutOfToleranceError) as err:
+            pf.load_network(tmp_path / "ten.txt")
+        assert err.value.args and "10" in str(err.value)
+
+    def test_comma_separated(self, tmp_path):
+        path = tmp_path / "net.csv"
+        path.write_text("0,0.5,0.5\n1,0,0\n0.5,0.5,0\n")
+        assert np.array_equal(pf.load_network(path).entries, nets.THREE_NODE)
+
+    def test_parsed_values_equal_python_float(self, tmp_path):
+        rng = np.random.default_rng(91)
+        C = nets.random_valid(rng, 40)
+        path = tmp_path / "net.txt"
+        pf.write_matrix(C, path)
+        expected = [[float(v) for v in line.split()] for line in path.read_text().splitlines()]
+        assert np.array_equal(pf.load_network(path).entries, pf.validate_matrix(expected).entries)
