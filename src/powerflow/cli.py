@@ -247,10 +247,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     from .equilibria import (
+        KIND_STAR_AUTOCRAT,
+        KIND_TWO_NODE_FAMILY,
+        KIND_UNIQUE_INTERIOR,
         assemble_multisink_equilibrium,
         fixed_point_residual,
+        predict_limit,
         regime_name,
-        solve_interior_equilibrium,
     )
 
     C = _load_network(args)
@@ -258,57 +261,48 @@ def cmd_equilibrium(args) -> int:
     profile = centrality_profile(C, structure)
     print(f"regime: {regime_name(structure)}")
     print("fixed points: every autocratic vertex e_i")
-    if isinstance(structure, Irreducible) and structure.degenerate_pair:
+    # the uniform start is no vertex for n >= 2, so the structure alone decides
+    prediction = predict_limit(C, structure, profile, np.full(C.n, 1.0 / C.n), args.tol)
+    if prediction.kind == KIND_TWO_NODE_FAMILY and len(prediction.support) == C.n:
         print("interior equilibria: every interior point (two-node network)")
-        return 0
-    if isinstance(structure, (Irreducible, ReducibleReachable)):
-        center = (
-            structure.star_center
-            if isinstance(structure, Irreducible)
-            else structure.star_center_of_subgraph
+    elif prediction.kind == KIND_TWO_NODE_FAMILY:
+        a, b = prediction.support
+        print(
+            f"equilibrium family: (alpha, 1-alpha) on nodes {a}, {b}, "
+            "zero elsewhere; alpha depends on the trajectory"
         )
-        if center is not None:
-            print(f"autocrat at node {center}; interior equilibria: none")
-            return 0
-        if isinstance(structure, ReducibleReachable) and structure.r == 2:
-            a, b = structure.reachable
-            print(
-                f"equilibrium family: (alpha, 1-alpha) on nodes {a}, {b}, "
-                "zero elsewhere; alpha depends on the trajectory"
-            )
-            return 0
+    elif prediction.kind == KIND_STAR_AUTOCRAT:
+        print(f"autocrat at node {prediction.center}; interior equilibria: none")
+    elif prediction.kind == KIND_UNIQUE_INTERIOR:
+        x_star = prediction.x_star
+        x_sink = x_star[np.asarray(prediction.support) - 1]
         c = profile.per_sink[0]
-        x_sink = solve_interior_equilibrium(c, 1.0, eps=args.tol)
-        x_star = np.zeros(C.n)
-        if isinstance(structure, ReducibleReachable):
-            x_star[np.asarray(structure.reachable, dtype=int) - 1] = x_sink
-        else:
-            x_star = x_sink
         alpha = float(np.mean(x_sink * (1.0 - x_sink) / c))
-        ordering_ok = _ordering_consistent(x_sink, c)
         print(f"interior equilibrium: {_fmt_vec(x_star)}")
         print(f"alpha: {_fmt(alpha)}")
         print(f"residual: {_fmt(fixed_point_residual(C, x_star))}")
-        print(f"ordering check: {'PASS' if ordering_ok else 'FAIL'}")
-        return 0
-    # multi-sink: family unless the split is given
-    if args.zeta is None:
+        print(f"ordering check: {'PASS' if _ordering_consistent(x_sink, c) else 'FAIL'}")
+    elif args.zeta is None:
+        # multi-sink: family unless the split is given
         print(
             "equilibrium family: one equilibrium per split of power among "
             f"the {structure.num_sinks} sinks; pass --zeta to assemble one"
         )
         for k, c_k in enumerate(profile.per_sink, start=1):
             print(f"sink {k} centrality: {_fmt_vec(c_k)}")
-        return 0
-    zeta = np.asarray([float(p) for p in args.zeta.split(",")], dtype=float)
-    try:
-        x_star = assemble_multisink_equilibrium(structure, profile, zeta, eps=args.tol)
-    except FamilyParameterRequiredError as exc:
-        print(f"equilibrium family: {exc}")
-        return 0
-    print(f"sink power: {_fmt_vec(zeta)}")
-    print(f"assembled equilibrium: {_fmt_vec(x_star)}")
-    print(f"residual: {_fmt(fixed_point_residual(C, x_star))}")
+    else:
+        try:
+            zeta = np.asarray([float(p) for p in args.zeta.split(",")], dtype=float)
+            x_star = assemble_multisink_equilibrium(structure, profile, zeta, eps=args.tol)
+        except FamilyParameterRequiredError as exc:
+            print(f"equilibrium family: {exc}")
+            return 0
+        except ValueError as exc:
+            # unparsable totals, a wrong count, or totals off the simplex
+            raise InvalidInitialError(f"bad zeta spec {args.zeta!r}: {exc}") from exc
+        print(f"sink power: {_fmt_vec(zeta)}")
+        print(f"assembled equilibrium: {_fmt_vec(x_star)}")
+        print(f"residual: {_fmt(fixed_point_residual(C, x_star))}")
     return 0
 
 
@@ -368,6 +362,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _step_count(text: str) -> int:
+    """A non-negative int; a bad value exits 2 with argparse's usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="powerflow",
@@ -407,7 +412,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one update rule")
     add_common(p_sim, x0=True, model=True)
     p_sim.add_argument("--tol", type=float, default=EPS_CONV, help="step-delta tolerance")
-    p_sim.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p_sim.add_argument("--max-steps", type=_step_count, default=DEFAULT_MAX_STEPS)
     p_sim.add_argument("--record-every", type=int, default=1)
     p_sim.add_argument("--out", help="write the trajectory CSV here")
     p_sim.add_argument(
@@ -424,7 +429,7 @@ def _parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run both update rules from one start")
     add_common(p_cmp, x0=True)
     p_cmp.add_argument("--tol", type=float, default=EPS_CONV, help="step-delta tolerance")
-    p_cmp.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p_cmp.add_argument("--max-steps", type=_step_count, default=DEFAULT_MAX_STEPS)
     p_cmp.add_argument("--record-every", type=int, default=1)
     p_cmp.add_argument("--out", help="prefix for the two trajectory CSVs")
     p_cmp.set_defaults(func=cmd_compare)

@@ -37,12 +37,11 @@ import numpy as np
 from .defaults import DEFAULT_MAX_STEPS, EPS_CONV, MODELS, ORIGINAL_DF, SINGLE_TIMESCALE
 from .errors import InvalidInitialError, MassDriftError, StructureMismatchError
 from .netcore import (
-    Irreducible,
     MultiSink,
     NetworkStructure,
-    ReducibleReachable,
     RelativeInteractionMatrix,
     _condensation,
+    _sink_index,
     classify,
 )
 from .spectral import EPS_SPECTRAL, dominant_left_eigenvector, influence_matrix
@@ -143,14 +142,6 @@ def _absorbing(x: np.ndarray) -> tuple[int, ...]:
     return tuple(np.flatnonzero(x >= 1.0).tolist())
 
 
-def _closed_classes(structure: NetworkStructure) -> list[np.ndarray]:
-    if isinstance(structure, Irreducible):
-        return [np.arange(structure.n)]
-    if isinstance(structure, ReducibleReachable):
-        return [np.asarray(structure.reachable, dtype=int) - 1]
-    return list(structure.sink_index)
-
-
 def df_plan(
     C: RelativeInteractionMatrix,
     absorbing: tuple[int, ...] = (),
@@ -161,7 +152,7 @@ def df_plan(
     are `absorbing` (0-based; empty for every state with all x_i < 1).
 
     With no absorbing coordinate W(x) has C's off-diagonal pattern, so its
-    closed classes are C's sinks, taken from `structure` when given.  Each
+    closed classes are C's sinks, `structure.sink_index` when given.  Each
     absorbing coordinate turns its row of W(x) into e_i; the classes then
     come from the condensation of that pattern.  Transient rows satisfy
     I - W_MM = (I - D_M)(I - C_MM) and W_Ms = (I - D_M) C_Ms, so the mass a
@@ -173,12 +164,9 @@ def df_plan(
         indicator = np.zeros(C.n)
         indicator[list(absorbing)] = 1.0
         condensation = _condensation(influence_matrix(C, indicator).entries)
-        classes = [
-            np.asarray(condensation.components[k], dtype=int) - 1
-            for k in condensation.sinks
-        ]
+        classes = _sink_index(condensation.components[k] for k in condensation.sinks)
     else:
-        classes = _closed_classes(structure)
+        classes = structure.sink_index
     n = C.n
     weights = np.array([s.size / n for s in classes])
     in_class = np.zeros(n, dtype=bool)
@@ -200,7 +188,7 @@ def df_plan(
     )
     return DfPlan(
         absorbing=tuple(absorbing),
-        classes=tuple(classes),
+        classes=classes,
         weights=tuple(float(w) for w in weights),
         centralities=centralities,
     )

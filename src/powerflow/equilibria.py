@@ -65,10 +65,7 @@ def fixed_point_residual(C: RelativeInteractionMatrix, x) -> float:
 
 
 def solve_interior_equilibrium(
-    c,
-    total_mass: float,
-    eps: float = EPS_EQUILIBRIUM,
-    max_iters: int = MAX_SOLVER_ITERATIONS,
+    c, total_mass: float, eps: float = EPS_EQUILIBRIUM
 ) -> np.ndarray:
     """Solve x_i = a * c_i / (1 - x_i) with sum(x) = total_mass.
 
@@ -110,13 +107,13 @@ def solve_interior_equilibrium(
             "the center's autocratic vertex"
         )
     x = total_mass * c
-    for _ in range(max_iters):
+    for _ in range(MAX_SOLVER_ITERATIONS):
         y = c / (1.0 - x)
         x_new = total_mass * (y / y.sum())
         if float(np.max(np.abs(x_new - x))) < eps:
             return x_new
         x = x_new
-    raise NoConvergenceError(max_iters)
+    raise NoConvergenceError(MAX_SOLVER_ITERATIONS)
 
 
 @dataclass(frozen=True)
@@ -172,6 +169,22 @@ class EquilibriumPrediction:
     support: Optional[tuple[int, ...]] = None
 
 
+# provenance of the two-node family, the star and the interior point, for a
+# sink that is the whole network (True) or a globally reachable set (False)
+_SINGLE_SINK_NOTES = {
+    True: (
+        "two-member group: every interior point is fixed",
+        "star pattern: power concentrates on the center",
+        "strongly connected non-star: unique interior equilibrium, independent of the start",
+    ),
+    False: (
+        "two reachable nodes absorb all power; their split depends on the transient",
+        "star pattern on the reachable set: power concentrates on its center",
+        "reachable set absorbs all power; unique equilibrium supported there",
+    ),
+}
+
+
 def predict_limit(
     C: RelativeInteractionMatrix,
     structure: NetworkStructure,
@@ -186,6 +199,11 @@ def predict_limit(
     limit down (autocratic starts, stars, unique interior equilibria);
     family predictions mark the regimes where the realized member depends
     on the transient and must come from simulation.
+
+    Past an autocratic start only the structure matters: several sinks give
+    the multi-sink family, and one sink (`structure.sink_index`, the whole
+    network or the reachable set) gives, by its size and star center, the
+    two-node family, the star or the interior point, zero off the sink.
     """
     x0 = check_simplex(x0, eps_simplex)
     v = vertex_index(x0, eps_simplex)
@@ -195,57 +213,30 @@ def predict_limit(
             provenance="autocratic start: every vertex is a fixed point",
             vertex=v,
         )
-    if isinstance(structure, Irreducible):
-        if structure.degenerate_pair:
-            return EquilibriumPrediction(
-                kind=KIND_TWO_NODE_FAMILY,
-                provenance="two-member group: every interior point is fixed",
-                support=(1, 2),
-            )
-        if structure.star_center is not None:
-            return EquilibriumPrediction(
-                kind=KIND_STAR_AUTOCRAT,
-                provenance="star pattern: power concentrates on the center",
-                center=structure.star_center,
-            )
-        x_star = solve_interior_equilibrium(profile.global_c, 1.0, eps)
+    if isinstance(structure, MultiSink):
         return EquilibriumPrediction(
-            kind=KIND_UNIQUE_INTERIOR,
-            provenance="strongly connected non-star: unique interior "
-            "equilibrium, independent of the start",
-            x_star=x_star,
-            support=tuple(range(1, structure.n + 1)),
+            kind=KIND_MULTI_SINK_FAMILY,
+            provenance="multiple sinks: any split of power among the sinks can "
+            "be an equilibrium; the realized split comes from simulation",
+            support=tuple(v for sink in structure.sinks for v in sink),
         )
-    if isinstance(structure, ReducibleReachable):
-        if structure.r == 2:
-            return EquilibriumPrediction(
-                kind=KIND_TWO_NODE_FAMILY,
-                provenance="two reachable nodes absorb all power; their "
-                "split depends on the transient",
-                support=structure.reachable,
-            )
-        if structure.star_center_of_subgraph is not None:
-            return EquilibriumPrediction(
-                kind=KIND_STAR_AUTOCRAT,
-                provenance="star pattern on the reachable set: power "
-                "concentrates on its center",
-                center=structure.star_center_of_subgraph,
-            )
-        idx = np.asarray(structure.reachable, dtype=int) - 1
-        x_star = np.zeros(structure.n)
-        x_star[idx] = solve_interior_equilibrium(profile.per_sink[0], 1.0, eps)
+    (sink,) = structure.sink_index
+    whole = sink.size == structure.n
+    pair_note, star_note, interior_note = _SINGLE_SINK_NOTES[whole]
+    support = tuple((sink + 1).tolist())
+    if sink.size == 2:
         return EquilibriumPrediction(
-            kind=KIND_UNIQUE_INTERIOR,
-            provenance="reachable set absorbs all power; unique equilibrium "
-            "supported there",
-            x_star=x_star,
-            support=structure.reachable,
+            kind=KIND_TWO_NODE_FAMILY, provenance=pair_note, support=support
         )
+    center = structure.star_center if whole else structure.star_center_of_subgraph
+    if center is not None:
+        return EquilibriumPrediction(
+            kind=KIND_STAR_AUTOCRAT, provenance=star_note, center=center
+        )
+    x_star = np.zeros(structure.n)
+    x_star[sink] = solve_interior_equilibrium(profile.per_sink[0], 1.0, eps)
     return EquilibriumPrediction(
-        kind=KIND_MULTI_SINK_FAMILY,
-        provenance="multiple sinks: any split of power among the sinks can "
-        "be an equilibrium; the realized split comes from simulation",
-        support=tuple(v for sink in structure.sinks for v in sink),
+        kind=KIND_UNIQUE_INTERIOR, provenance=interior_note, x_star=x_star, support=support
     )
 
 
@@ -274,7 +265,8 @@ def assemble_multisink_equilibrium(
         raise ValueError(
             f"expected {structure.num_sinks} sink totals, got {zeta.size}"
         )
-    if np.any(zeta < 0.0) or abs(float(zeta.sum()) - 1.0) > 1e-9:
+    # written to fail on NaN totals too
+    if not (np.all(zeta >= 0.0) and abs(float(zeta.sum()) - 1.0) <= 1e-9):
         raise ValueError("sink totals must be non-negative and sum to 1")
     x = np.zeros(structure.n)
     for k, idx in enumerate(structure.sink_index):

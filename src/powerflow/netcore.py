@@ -6,7 +6,8 @@ individual j.  Everything downstream dispatches on the shape of the digraph
 induced by its positive entries, so this module owns the validation gate,
 the strongly-connected-component machinery, and the classifier that splits
 a network into one of three variants: irreducible, reducible with a
-globally reachable node set, or multi-sink.
+globally reachable node set, or multi-sink.  Each variant carries its
+closed classes as `sink_index`, for the other modules to read.
 
 All node identifiers on public surfaces are 1-based.
 """
@@ -228,18 +229,33 @@ def star_center(
     return int(idx[centers[0]]) + 1 if centers.size else None
 
 
+def _sink_index(sinks) -> tuple[np.ndarray, ...]:
+    """One read-only 0-based index array per closed class, from each class's
+    1-based nodes: every structure's `sink_index`, kept out of == and repr."""
+    index = tuple(np.asarray(s, dtype=int) - 1 for s in sinks)
+    for idx in index:
+        idx.setflags(write=False)
+    return index
+
+
 @dataclass(frozen=True)
 class Irreducible:
     """Strongly connected network.
 
     `star_center` is set iff the star predicate holds.  A two-node network
     is flagged `degenerate_pair`: both update rules fix every interior
-    point of the simplex, so no unique interior equilibrium exists.
+    point of the simplex, so no unique interior equilibrium exists.  The
+    whole network is the one closed class, so `sink_index` holds the single
+    array 0..n-1.
     """
 
     n: int
     star_center: Optional[int] = None
     degenerate_pair: bool = False
+    sink_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sink_index", _sink_index((np.arange(1, self.n + 1),)))
 
 
 @dataclass(frozen=True)
@@ -247,13 +263,18 @@ class ReducibleReachable:
     """Not strongly connected, with a single condensation sink.
 
     `reachable` lists the globally reachable nodes (ascending); power
-    eventually concentrates there.  `star_center_of_subgraph` is populated
+    eventually concentrates there, and `sink_index` holds their 0-based
+    indices as its single array.  `star_center_of_subgraph` is populated
     only when the sink has at least three nodes and forms a star.
     """
 
     n: int
     reachable: tuple[int, ...]
     star_center_of_subgraph: Optional[int] = None
+    sink_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sink_index", _sink_index((self.reachable,)))
 
     @property
     def r(self) -> int:
@@ -268,21 +289,18 @@ class MultiSink:
     sink 1 nodes, then sink 2 nodes, ..., then non-sink nodes.  Reindexing
     rows and columns by it yields a block lower-triangular matrix whose
     leading diagonal blocks are the irreducible row-stochastic sinks.
-    Sinks are ordered by their smallest node id.
+    Sinks are ordered by their smallest node id, and `sink_index` holds
+    their 0-based indices in that order.
     """
 
     n: int
     sinks: tuple[tuple[int, ...], ...]
     non_sink_nodes: tuple[int, ...]
     permutation: tuple[int, ...]
-    #: 0-based node indices of each sink, read-only, derived from `sinks`.
     sink_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index = tuple(np.asarray(s, dtype=int) - 1 for s in self.sinks)
-        for idx in index:
-            idx.setflags(write=False)
-        object.__setattr__(self, "sink_index", index)
+        object.__setattr__(self, "sink_index", _sink_index(self.sinks))
 
     @property
     def num_sinks(self) -> int:

@@ -22,12 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergenceError
-from .netcore import (
-    Irreducible,
-    NetworkStructure,
-    ReducibleReachable,
-    RelativeInteractionMatrix,
-)
+from .netcore import NetworkStructure, RelativeInteractionMatrix
 
 #: Residual target for eigenvector computations (max norm of v M - v).
 EPS_SPECTRAL = 1e-12
@@ -94,26 +89,26 @@ def centrality_profile(
     structure: NetworkStructure,
     eps: float = EPS_SPECTRAL,
 ) -> CentralityProfile:
-    """Centrality scores for `C` under its classified `structure`."""
-    if isinstance(structure, Irreducible):
-        c = dominant_left_eigenvector(C.entries, eps)
-        return CentralityProfile(global_c=c, per_sink=(c,), lifted=(c,))
-    if isinstance(structure, ReducibleReachable):
-        idx = np.asarray(structure.reachable, dtype=int) - 1
-        c_sink = dominant_left_eigenvector(C.entries[np.ix_(idx, idx)], eps)
-        lifted = np.zeros(C.n)
-        lifted[idx] = c_sink
-        return CentralityProfile(global_c=lifted, per_sink=(c_sink,), lifted=(lifted,))
-    per_sink = []
-    lifted = []
+    """Centrality scores for `C` under its classified `structure`.
+
+    One eigenvector per closed class in `structure.sink_index`: the whole
+    network when it is irreducible, the reachable set when it is reducible
+    with one sink, each sink otherwise.  `global_c` is the lifted vector of
+    the only class when there is one, and None with several.
+    """
+    per_sink, lifted = [], []
     for idx in structure.sink_index:
-        c_k = dominant_left_eigenvector(C.entries[np.ix_(idx, idx)], eps)
+        # a class spanning the network is solved on C itself, not a copy
+        block = C.entries if idx.size == C.n else C.entries[np.ix_(idx, idx)]
+        c_k = dominant_left_eigenvector(block, eps)
         vec = np.zeros(C.n)
         vec[idx] = c_k
         per_sink.append(c_k)
         lifted.append(vec)
     return CentralityProfile(
-        global_c=None, per_sink=tuple(per_sink), lifted=tuple(lifted)
+        global_c=lifted[0] if len(lifted) == 1 else None,
+        per_sink=tuple(per_sink),
+        lifted=tuple(lifted),
     )
 
 

@@ -1,0 +1,75 @@
+"""Bad --zeta and --max-steps values end as input errors (exit 2, a one-line
+message on stderr, no traceback), checked in fresh interpreters."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import powerflow as pf
+from powerflow.cli import main
+
+import nets
+
+SRC = str(Path(pf.__file__).resolve().parent.parent)
+
+
+def run_powerflow(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "powerflow.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+    )
+
+
+@pytest.fixture
+def two_sink_file(tmp_path):
+    path = tmp_path / "two_sink.txt"
+    pf.write_matrix(nets.two_sink_five(), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "zeta, message",
+    [
+        ("a,b", "could not convert string to float: 'a'"),
+        ("0.5", "expected 2 sink totals, got 1"),
+        ("0.7,0.7", "sink totals must be non-negative and sum to 1"),
+        ("nan,1", "sink totals must be non-negative and sum to 1"),
+    ],
+    ids=["unparsable", "wrong-count", "bad-sum", "nan"],
+)
+def test_bad_zeta_exits_2(two_sink_file, zeta, message):
+    result = run_powerflow("equilibrium", "--network", two_sink_file, "--zeta", zeta)
+    assert result.returncode == 2
+    assert result.stderr == f"error: bad zeta spec {zeta!r}: {message}\n"
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_negative_max_steps_exits_2(command):
+    result = run_powerflow(command, "--builder", "star:5", "--max-steps", "-1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        f"powerflow {command}: error: argument --max-steps: must be non-negative, got -1"
+    )
+    assert "Traceback" not in result.stderr
+
+
+def test_non_integer_max_steps_keeps_the_int_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--builder", "star:5", "--max-steps", "1.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "powerflow simulate: error: argument --max-steps: invalid int value: '1.5'"
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_zero_max_steps_stays_valid(command, capsys):
+    assert main([command, "--builder", "star:5", "--max-steps", "0"]) == 0
+    out = capsys.readouterr().out
+    expected = "steps: 0" if command == "simulate" else "steps: st=0 df=0"
+    assert expected in out.splitlines()
