@@ -258,6 +258,10 @@ def cmd_equilibrium(args) -> int:
 
     C = _load_network(args)
     structure = classify(C)
+    if args.zeta is not None and len(structure.sink_index) == 1:
+        raise InvalidInitialError(
+            "--zeta applies only to multi-sink networks; this network has one sink"
+        )
     profile = centrality_profile(C, structure)
     print(f"regime: {regime_name(structure)}")
     print("fixed points: every autocratic vertex e_i")
@@ -362,15 +366,24 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _step_count(text: str) -> int:
-    """A non-negative int; a bad value exits 2 with argparse's usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_at_least(minimum: int, rule: str):
+    """An argparse type for ints >= minimum; a bad value exits 2 with
+    argparse's usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return parse
+
+
+_step_count = _int_at_least(0, "non-negative")
+_record_interval = _int_at_least(1, "positive")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -413,7 +426,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_sim, x0=True, model=True)
     p_sim.add_argument("--tol", type=float, default=EPS_CONV, help="step-delta tolerance")
     p_sim.add_argument("--max-steps", type=_step_count, default=DEFAULT_MAX_STEPS)
-    p_sim.add_argument("--record-every", type=int, default=1)
+    p_sim.add_argument("--record-every", type=_record_interval, default=1)
     p_sim.add_argument("--out", help="write the trajectory CSV here")
     p_sim.add_argument(
         "--quiet", action="store_true", help="suppress per-step rows on stdout"
@@ -430,7 +443,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_cmp, x0=True)
     p_cmp.add_argument("--tol", type=float, default=EPS_CONV, help="step-delta tolerance")
     p_cmp.add_argument("--max-steps", type=_step_count, default=DEFAULT_MAX_STEPS)
-    p_cmp.add_argument("--record-every", type=int, default=1)
+    p_cmp.add_argument("--record-every", type=_record_interval, default=1)
     p_cmp.add_argument("--out", help="prefix for the two trajectory CSVs")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -1,5 +1,6 @@
-"""Bad --zeta and --max-steps values end as input errors (exit 2, a one-line
-message on stderr, no traceback), checked in fresh interpreters."""
+"""Bad --zeta, --max-steps and --record-every values end as input errors
+(exit 2, a one-line message on stderr, no traceback), checked in fresh
+interpreters."""
 
 import os
 import subprocess
@@ -73,3 +74,42 @@ def test_zero_max_steps_stays_valid(command, capsys):
     out = capsys.readouterr().out
     expected = "steps: 0" if command == "simulate" else "steps: st=0 df=0"
     assert expected in out.splitlines()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_record_every_below_one_exits_2(command, value):
+    result = run_powerflow(
+        command, "--builder", "star:5", "--record-every", value, "--max-steps", "10"
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        f"powerflow {command}: error: argument --record-every: must be positive, got {value}"
+    )
+    assert "Traceback" not in result.stderr
+
+
+def test_non_integer_record_every_keeps_the_int_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--builder", "star:5", "--record-every", "2.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "powerflow compare: error: argument --record-every: invalid int value: '2.5'"
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: pf.build_star(3), nets.ring3, nets.three_node, nets.reachable_pair],
+    ids=["star", "ring", "irreducible", "reachable"],
+)
+def test_zeta_on_a_single_sink_network_exits_2(tmp_path, make):
+    path = tmp_path / "single_sink.txt"
+    pf.write_matrix(make(), path)
+    result = run_powerflow("equilibrium", "--network", str(path), "--zeta", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: --zeta applies only to multi-sink networks; this network has one sink\n"
+    )

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -239,6 +240,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             pf.simulate("both", nets.ring3(), np.full(3, 1.0 / 3.0))
 
+    @pytest.mark.parametrize("record_every", [0, -2, 0.5])
+    def test_rejects_record_every_below_one(self, record_every):
+        with pytest.raises(ValueError, match="record_every must be at least 1"):
+            pf.simulate("st", nets.ring3(), np.full(3, 1.0 / 3.0), record_every=record_every)
+
     def test_vertex_start_absorbs_immediately(self):
         C = nets.three_node()
         e3 = np.array([0.0, 0.0, 1.0])
@@ -315,6 +321,23 @@ class TestSimulate:
         traj = pf.simulate("st", C, np.full(10, 0.1), max_steps=100)
         assert traj.status == pf.MaxStepsReached(steps=100)
         assert traj.total_steps == 100
+
+
+def test_recorded_states_are_held_once():
+    # a star approaches its centre slowly: 31 860 states, every step recorded
+    C = pf.build_star(60)
+    x0 = np.full(60, 1.0 / 60.0)
+    structure = pf.classify(C)
+    tracemalloc.start()
+    try:
+        traj = pf.simulate("st", C, x0, eps_conv=1e-9, structure=structure)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == traj.total_steps + 1 > 30_000
+    # the states, their spare capacity, the block buffer, deltas and steps;
+    # a second copy of the states would double the peak
+    assert peak < 1.3 * traj.states.nbytes + (1 << 20)
 
 
 def _stepwise_st(C, x, max_steps, record_every=1, eps_conv=pf.EPS_CONV, eps_simplex=pf.EPS_SIMPLEX):
@@ -441,6 +464,36 @@ class TestBlockedEngine:
         for t, x in enumerate(traj.states):
             assert np.array_equal(traj.sink_power[t], pf.sink_power(structure, x))
         assert np.all(np.diff(traj.sink_power, axis=0) >= -1e-14)
+
+    @pytest.mark.parametrize(
+        "make, max_steps, record_every",
+        [
+            (lambda: pf.build_star(10), 0, 1),
+            (lambda: pf.build_star(10), "full", 1),
+            (lambda: pf.build_star(10), 1003, 7),
+            (nets.two_sink_six, pf.DEFAULT_MAX_STEPS, 3),
+        ],
+    )
+    def test_recordings_are_owned_and_trimmed(self, block_sizes, make, max_steps, record_every):
+        from powerflow import dynamics
+
+        if max_steps == "full":
+            # as many states as the capacity after one growth
+            max_steps = dynamics._GROWTH * (dynamics._MAX_BLOCK + 1) - 1
+        C = make()
+        x0 = nets.random_interior(np.random.default_rng(2), C.n)
+        traj = pf.simulate("st", C, x0, max_steps=max_steps, record_every=record_every)
+        states, steps, deltas, status = _stepwise_st(C, x0, max_steps, record_every)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.steps, steps)
+        assert np.array_equal(traj.step_deltas, deltas)
+        assert len(traj.states) == len(traj.steps)
+        recorded = [traj.states, traj.step_deltas]
+        if traj.sink_power is not None:
+            assert len(traj.sink_power) == traj.total_steps + 1
+            recorded.append(traj.sink_power)
+        for array in recorded:
+            assert array.flags.c_contiguous and array.flags.owndata and array.base is None
 
     def test_degenerate_pair_takes_no_step(self):
         C = pf.validate_matrix([[0, 1], [1, 0]])
