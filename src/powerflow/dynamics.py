@@ -356,6 +356,16 @@ class Trajectory:
         return int(self.step_deltas.size)
 
 
+def _step_count(name: str, value, least: int) -> int:
+    """`value` as an int, or ValueError naming it unless it is a whole
+    number >= `least` (ints, numpy ints and integral floats pass)."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def simulate(
     model: str,
     C: RelativeInteractionMatrix,
@@ -397,13 +407,13 @@ def simulate(
     are returned, which grow geometrically in place and are trimmed once at
     the end: the (total_steps / record_every + 1) * n * 8 bytes of states
     are held once, plus the per-step deltas and sink totals.  Raise
-    `record_every` (an int >= 1, else ValueError) to thin a long run.
+    `record_every` (a whole number >= 1, else ValueError) to thin a long
+    run; `max_steps` must be a whole number >= 0, else ValueError.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every!r}")
-    record_every = int(record_every)
+    max_steps = _step_count("max_steps", max_steps, 0)
+    record_every = _step_count("record_every", record_every, 1)
     x = check_simplex(x0, eps_simplex).astype(float).copy()
     n = C.n
     if x.size != n:

@@ -9,8 +9,11 @@ Two text formats are supported, both UTF-8 with ``#`` comment lines:
   dropped silently before the split, and a node left with nobody to listen
   to is rejected because its row could not be made row-stochastic.
 
-Trajectories export to CSV with 17-significant-digit decimals, which
-round-trips IEEE doubles exactly.
+Matrices (:func:`write_matrix`, the dense format) and trajectories
+(:func:`write_trajectory_csv`) are written with 17-significant-digit
+decimals, which round-trip IEEE doubles exactly.  Both go through one
+writer, ``_write_rows``: one ``%`` template per row, applied to a chunk of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from .netcore import (
     RelativeInteractionMatrix,
     classify,
     Irreducible,
-    validate_matrix,
+    _validate_owned,
+    validate_matrix,  # perfbench's tracer wraps powerflow.io.validate_matrix
 )
 
 FORMAT_DENSE = "dense"
 FORMAT_ADJACENCY = "adjacency"
-#: values formatted per write of a trajectory CSV
+#: values formatted per write of a matrix file or trajectory CSV
 _CSV_CHUNK_VALUES = 1 << 16
 
 
@@ -67,7 +71,7 @@ def _parse_dense(lines: list[tuple[int, str]], eps: float) -> RelativeInteractio
                 line_no, f"expected {entries.shape[1]} values per row, got {row.size}"
             )
         entries[i] = row
-    return validate_matrix(entries, eps)
+    return _validate_owned(entries, eps)
 
 
 def _is_float(token: str) -> bool:
@@ -116,7 +120,7 @@ def _parse_adjacency(
         weight = 1.0 / len(targets)
         for j in targets:
             entries[node - 1, j - 1] = weight
-    return validate_matrix(entries, eps)
+    return _validate_owned(entries, eps)
 
 
 def load_network(
@@ -140,10 +144,23 @@ def load_network(
 
 
 def write_matrix(C: RelativeInteractionMatrix, path) -> None:
-    """Write a dense matrix file that loads back bit-for-bit identical."""
+    """Write a dense matrix file at 17 significant digits per entry, which
+    parse back to the same doubles.  :func:`load_network` returns C bit for
+    bit when its rows sum to exactly 1; other rows are renormalized again.
+    """
     with open(path, "w", encoding="utf-8") as handle:
-        for row in C.entries:
-            handle.write(" ".join(format(v, ".17g") for v in row) + "\n")
+        _write_rows(handle, " ".join(["%.17g"] * C.n) + "\n", [C.entries])
+
+
+def _write_rows(handle, row_format: str, columns) -> None:
+    """Write the rows of the side-by-side 2-D `columns`, each through the
+    ``%`` template `row_format`.  Rows go out in chunks of about
+    _CSV_CHUNK_VALUES values, which bounds the Python floats held at once.
+    """
+    chunk = max(1, _CSV_CHUNK_VALUES // sum(c.shape[1] for c in columns))
+    for start in range(0, columns[0].shape[0], chunk):
+        table = np.hstack([c[start:start + chunk] for c in columns])
+        handle.write("".join(row_format % tuple(row) for row in table.tolist()))
 
 
 def build_star(n: int) -> RelativeInteractionMatrix:
@@ -157,7 +174,7 @@ def build_star(n: int) -> RelativeInteractionMatrix:
     entries = np.zeros((n, n))
     entries[0, 1:] = 1.0 / (n - 1)
     entries[1:, 0] = 1.0
-    return validate_matrix(entries)
+    return _validate_owned(entries)
 
 
 def build_ring(n: int) -> RelativeInteractionMatrix:
@@ -168,7 +185,7 @@ def build_ring(n: int) -> RelativeInteractionMatrix:
     entries = np.zeros((n, n))
     for i in range(n):
         entries[i, (i + 1) % n] = 1.0
-    return validate_matrix(entries)
+    return _validate_owned(entries)
 
 
 def build_doubly_stochastic_random(n: int, seed: int) -> RelativeInteractionMatrix:
@@ -192,7 +209,7 @@ def build_doubly_stochastic_random(n: int, seed: int) -> RelativeInteractionMatr
                 perm = rng.permutation(n)
             entries[np.arange(n), perm] += w
         entries = 0.5 * (entries + entries.T)
-        C = validate_matrix(entries)
+        C = _validate_owned(entries)
         if isinstance(classify(C), Irreducible):
             return C
     raise RuntimeError("could not draw a strongly connected matrix")
@@ -225,11 +242,7 @@ def write_trajectory_csv(trajectory, path) -> None:
         columns.append(trajectory.sink_power[trajectory.steps])
         names += [f"zeta_{k}" for k in range(1, columns[-1].shape[1] + 1)]
     row_format = "%d," + ",".join(["%.17g"] * len(names)) + "\n"
-    # bounds the Python floats held at once to about _CSV_CHUNK_VALUES
-    chunk = max(1, _CSV_CHUNK_VALUES // (len(names) + 1))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("t," + ",".join(names) + "\n")
-        for start in range(0, trajectory.states.shape[0], chunk):
-            table = np.hstack([c[start:start + chunk] for c in columns])
-            handle.write("".join(row_format % tuple(row) for row in table.tolist()))
+        _write_rows(handle, row_format, columns)
         handle.write(_status_comment(trajectory.status) + "\n")

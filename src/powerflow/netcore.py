@@ -58,8 +58,16 @@ def validate_matrix(raw, eps: float = EPS_VALIDATION) -> RelativeInteractionMatr
     sums, all within `eps`.  Accepted rows are renormalized so each sums to
     1 up to float rounding, and round-off negatives / diagonal dust are
     cleared, which keeps the positive-entry pattern free of spurious edges.
+    The caller's `raw` is copied, never changed.
     """
-    entries = np.array(raw, dtype=float)
+    return _validate_owned(np.array(raw, dtype=float), eps)
+
+
+def _validate_owned(
+    entries: np.ndarray, eps: float = EPS_VALIDATION
+) -> RelativeInteractionMatrix:
+    """:func:`validate_matrix` of a float array the caller hands over: it is
+    renormalized in place and frozen into the result, with no copy."""
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise NonSquareError(entries.shape if entries.ndim else ())
     n = entries.shape[0]

@@ -245,6 +245,28 @@ class TestSimulate:
         with pytest.raises(ValueError, match="record_every must be at least 1"):
             pf.simulate("st", nets.ring3(), np.full(3, 1.0 / 3.0), record_every=record_every)
 
+    @pytest.mark.parametrize("record_every", [2.7, 1.5, float("inf"), float("nan")])
+    def test_rejects_fractional_record_every(self, record_every):
+        with pytest.raises(ValueError, match="record_every must be a whole number"):
+            pf.simulate("st", nets.ring3(), np.full(3, 1.0 / 3.0), record_every=record_every)
+
+    @pytest.mark.parametrize("max_steps", [-3, -1, 2.5, float("inf"), float("nan")])
+    def test_rejects_bad_max_steps(self, max_steps):
+        with pytest.raises(ValueError, match=f"max_steps must be .*, got {max_steps!r}"):
+            pf.simulate("st", nets.ring3(), np.full(3, 1.0 / 3.0), max_steps=max_steps)
+
+    def test_zero_max_steps_and_numpy_ints_accepted(self):
+        C = pf.build_star(4)
+        x0 = np.full(4, 0.25)
+        traj = pf.simulate("st", C, x0, max_steps=0)
+        assert traj.status == pf.MaxStepsReached(steps=0)
+        assert traj.states.shape == (1, 4)
+        thinned = pf.simulate("st", C, x0, max_steps=np.int64(7), record_every=np.int64(3))
+        again = pf.simulate("st", C, x0, max_steps=7, record_every=3)
+        assert np.array_equal(thinned.steps, again.steps)
+        assert np.array_equal(thinned.states, again.states)
+        assert thinned.status == again.status
+
     def test_vertex_start_absorbs_immediately(self):
         C = nets.three_node()
         e3 = np.array([0.0, 0.0, 1.0])

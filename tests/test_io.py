@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -312,6 +313,81 @@ class TestTrajectoryCsvBytes:
         traj = pf.simulate("st", pf.build_star(12), np.full(12, 1 / 12), max_steps=12000)
         assert traj.states.size > 2 * pf.io._CSV_CHUNK_VALUES
         self._assert_same_bytes(traj, tmp_path)
+
+
+def _write_matrix_per_value(C, path):
+    """The per-value writer that write_matrix replaced, kept as the
+    reference for its bytes."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in C.entries:
+            handle.write(" ".join(format(v, ".17g") for v in row) + "\n")
+
+
+class TestMatrixBytes:
+    def _assert_same_bytes(self, C, tmp_path):
+        pf.write_matrix(C, tmp_path / "new.txt")
+        _write_matrix_per_value(C, tmp_path / "ref.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+        # the text holds the doubles exactly; loading re-validates them
+        text = (tmp_path / "new.txt").read_text().split()
+        assert np.array(text, dtype=float).tobytes() == C.entries.tobytes()
+        again = pf.load_network(tmp_path / "new.txt")
+        assert again.entries.tobytes() == pf.validate_matrix(C.entries).entries.tobytes()
+        return again
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 301])
+    def test_random_matrices(self, tmp_path, n):
+        self._assert_same_bytes(nets.random_valid(np.random.default_rng(n), n), tmp_path)
+
+    def test_large_sparse_matrix_spans_many_chunks(self, tmp_path):
+        # mostly zeros, like the large files of the benchmark corpus
+        n = 1200
+        rng = np.random.default_rng(n)
+        entries = np.zeros((n, n))
+        for i in range(n):
+            advisors = rng.choice(np.delete(np.arange(n), i), size=4, replace=False)
+            entries[i, advisors] = rng.random(4) + 1e-3
+        C = pf.validate_matrix(entries / entries.sum(axis=1, keepdims=True))
+        assert C.entries.size > 16 * pf.io._CSV_CHUNK_VALUES
+        self._assert_same_bytes(C, tmp_path)
+
+    def test_rows_wider_than_a_chunk(self, tmp_path, monkeypatch):
+        C = nets.random_valid(np.random.default_rng(5), 23)
+        for chunk_values in (1, 5, 17):
+            monkeypatch.setattr(pf.io, "_CSV_CHUNK_VALUES", chunk_values)
+            self._assert_same_bytes(C, tmp_path)
+
+    def test_extreme_values(self, tmp_path):
+        C = pf.validate_matrix([
+            [0.0, 1.0 / 3.0, 2.0 / 3.0],
+            [1.0 - 2.0**-53, 0.0, 2.0**-53],
+            [5e-324, 1.0, 0.0],
+        ])
+        assert C.entries[0, 1] == 1.0 / 3.0
+        assert C.entries[1, 0] == 1.0 - 2.0**-53
+        assert C.entries[2, 0] == 5e-324
+        # every row sums to exactly 1, so loading gives back C bit for bit
+        again = self._assert_same_bytes(C, tmp_path)
+        assert again.entries.tobytes() == C.entries.tobytes()
+        lines = (tmp_path / "new.txt").read_text().splitlines()
+        assert lines[1] == "0.99999999999999989 0 1.1102230246251565e-16"
+        assert lines[2] == "4.9406564584124654e-324 1 0"
+
+    def test_dense_parse_holds_one_matrix(self, tmp_path):
+        # a sparse n = 300 file: its text is small next to the n x n array
+        n = 300
+        path = tmp_path / "ring.txt"
+        pf.write_matrix(pf.build_ring(n), path)
+        tracemalloc.start()
+        try:
+            C = pf.load_network(path, format="dense")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert C.n == n
+        # the array, the file's lines and small temporaries; a second n x n
+        # copy would put the peak above two arrays
+        assert peak < 2 * C.entries.nbytes
 
 
 class TestDenseParserSemantics:

@@ -64,6 +64,17 @@ class TestValidateMatrix:
         C = pf.validate_matrix(raw)
         assert C.entries[0, 0] == 0.0
 
+    def test_callers_array_left_writable_and_unchanged(self):
+        raw = np.array(nets.THREE_NODE)
+        raw[0] *= 1.0 + 1e-10
+        raw[0, 0] = 1e-12
+        before = raw.copy()
+        C = pf.validate_matrix(raw)
+        assert raw.flags.writeable
+        assert np.array_equal(raw, before)
+        assert not np.shares_memory(C.entries, raw)
+        raw[1, 0] = 0.25  # still the caller's to change
+
     def test_entries_are_frozen(self):
         C = nets.three_node()
         with pytest.raises(ValueError):
