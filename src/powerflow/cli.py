@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import logging
+import math
 import os
 import sys
 import numpy as np
@@ -382,8 +383,28 @@ def _int_at_least(minimum: int, rule: str):
     return parse
 
 
+def _finite_float(allow_zero: bool):
+    """An argparse type for finite floats > 0, or >= 0 with `allow_zero`;
+    NaN, infinities and values below the bound exit 2 with argparse's
+    usage error."""
+    rule = "non-negative" if allow_zero else "positive"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not (math.isfinite(value) and (value >= 0.0 if allow_zero else value > 0.0)):
+            raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text}")
+        return value
+
+    return parse
+
+
 _step_count = _int_at_least(0, "non-negative")
 _record_interval = _int_at_least(1, "positive")
+_step_tolerance = _finite_float(allow_zero=True)
+_residual_tolerance = _finite_float(allow_zero=False)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -424,7 +445,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one update rule")
     add_common(p_sim, x0=True, model=True)
-    p_sim.add_argument("--tol", type=float, default=EPS_CONV, help="step-delta tolerance")
+    p_sim.add_argument(
+        "--tol", type=_step_tolerance, default=EPS_CONV, help="step-delta tolerance (>= 0)"
+    )
     p_sim.add_argument("--max-steps", type=_step_count, default=DEFAULT_MAX_STEPS)
     p_sim.add_argument("--record-every", type=_record_interval, default=1)
     p_sim.add_argument("--out", help="write the trajectory CSV here")
@@ -435,13 +458,19 @@ def _parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibrium", help="predict or assemble equilibria")
     add_common(p_eq)
-    p_eq.add_argument("--tol", type=float, default=EPS_EQUILIBRIUM, help="solver tolerance")
+    p_eq.add_argument(
+        "--tol", type=_residual_tolerance, default=EPS_EQUILIBRIUM,
+        help="largest accepted residual of the interior-equilibrium solve: "
+        "|sum(x) - mass| and |x_i (1 - x_i) - a c_i| (> 0)",
+    )
     p_eq.add_argument("--zeta", help="sink power split a,b,... for multi-sink networks")
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_cmp = sub.add_parser("compare", help="run both update rules from one start")
     add_common(p_cmp, x0=True)
-    p_cmp.add_argument("--tol", type=float, default=EPS_CONV, help="step-delta tolerance")
+    p_cmp.add_argument(
+        "--tol", type=_step_tolerance, default=EPS_CONV, help="step-delta tolerance (>= 0)"
+    )
     p_cmp.add_argument("--max-steps", type=_step_count, default=DEFAULT_MAX_STEPS)
     p_cmp.add_argument("--record-every", type=_record_interval, default=1)
     p_cmp.add_argument("--out", help="prefix for the two trajectory CSVs")

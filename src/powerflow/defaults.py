@@ -12,7 +12,8 @@ MODELS = (SINGLE_TIMESCALE, ORIGINAL_DF)
 EPS_CONV = 1e-12
 DEFAULT_MAX_STEPS = 10**6
 
-#: Step tolerance of the interior-equilibrium solver.
+#: Largest accepted residual of the interior-equilibrium solve:
+#: |sum(x) - mass| and |x_i (1 - x_i) - a c_i|.
 EPS_EQUILIBRIUM = 1e-13
 #: Two centrality scores closer than this are treated as tied.
 EPS_TIE = 1e-9

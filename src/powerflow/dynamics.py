@@ -408,12 +408,16 @@ def simulate(
     the end: the (total_steps / record_every + 1) * n * 8 bytes of states
     are held once, plus the per-step deltas and sink totals.  Raise
     `record_every` (a whole number >= 1, else ValueError) to thin a long
-    run; `max_steps` must be a whole number >= 0, else ValueError.
+    run; `max_steps` must be a whole number >= 0 and `eps_conv` a number
+    >= 0 (0 runs to `max_steps`), else ValueError.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     max_steps = _step_count("max_steps", max_steps, 0)
     record_every = _step_count("record_every", record_every, 1)
+    # written to fail on NaN too
+    if not eps_conv >= 0.0:
+        raise ValueError(f"eps_conv must be at least 0, got {eps_conv!r}")
     x = check_simplex(x0, eps_simplex).astype(float).copy()
     n = C.n
     if x.size != n:

@@ -4,9 +4,10 @@ The interior equilibria of both update rules coincide and are pinned down
 by eigenvector centrality: the fixed-point condition x - x^2 = C^T (x - x^2)
 forces x_i (1 - x_i) to be proportional to the centrality score c_i, so the
 equilibrium solves x_i = a * c_i / (1 - x_i) for a single scalar a fixed by
-the total mass.  The solver iterates the power reallocation map
-x <- total * y / sum(y) with y_i = c_i / (1 - x_i), which implicitly selects
-the correct quadratic branch per coordinate.
+the total mass.  :func:`solve_interior_equilibrium` finds that point as one
+bracketed scalar root: the power s of the top score fixes a, every other
+coordinate follows on the minus branch of its quadratic, and the mass
+condition is a concave function of s with a single sign change.
 
 :func:`predict_limit` dispatches on the classified network structure;
 :func:`assemble_multisink_equilibrium` materializes the equilibrium of a
@@ -16,6 +17,7 @@ multi-sink network from a given split of power among the sinks;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +55,6 @@ from .netcore import (
 )
 from .spectral import CentralityProfile
 
-MAX_SOLVER_ITERATIONS = 10**5
 # Boundary of the regime where the interior point degenerates into a vertex.
 _CENTER_DOMINANT_MARGIN = 1e-12
 
@@ -67,53 +68,128 @@ def fixed_point_residual(C: RelativeInteractionMatrix, x) -> float:
 def solve_interior_equilibrium(
     c, total_mass: float, eps: float = EPS_EQUILIBRIUM
 ) -> np.ndarray:
-    """Solve x_i = a * c_i / (1 - x_i) with sum(x) = total_mass.
+    """Solve x_i (1 - x_i) = a * c_i with sum(x) = total_mass, x interior.
 
     `c` is a strictly positive simplex vector of centrality scores, either
     of a whole strongly connected network (total_mass = 1) or of one sink
-    (total_mass = the sink's power total).  Iterates
-    x <- total_mass * y / sum(y) with y_i = c_i / (1 - x_i) from
-    x = total_mass * c until successive iterates differ by less than `eps`;
-    the iteration is the power reallocation map itself, so it lands on the
-    correct branch of the per-coordinate quadratic by construction.
+    (total_mass = the sink's power total).
 
-    Two-entry inputs use the closed form (total_mass / 2, total_mass / 2);
-    a two-member group holding all mass has a one-parameter equilibrium
+    Parametrisation.  The unknown is s, the power of the top score c_top
+    (shared by the k scores tied with it), so a = s (1 - s) / c_top.  Every
+    other coordinate is on the minus branch of its quadratic, written
+    without cancellation: x_i(s) = 2 q_i / (1 + d_i) with
+    q_i = s (1 - s) r_i, r_i = c_i / c_top < 1 and d_i = sqrt(1 - 4 q_i).
+    (Only the top can hold more than half the mass.)  s is the root of
+
+        F(s) = (s - m) + (k - 1) s + sum_i x_i(s),   m = total_mass,
+
+    summed from the small terms, so F keeps its relative accuracy near a
+    star, where s -> 1 and every x_i -> 0.
+
+    Uniqueness.  With d_i^2 = 1 - r_i + r_i (1 - 2s)^2, the second
+    derivative of x_i(s) is (2 r_i / d_i) (r_i (1 - 2s)^2 / d_i^2 - 1) <= 0,
+    so F is concave on [0, 1].  As F(0) = -m < 0 and F(1) = k - m >= 0, F
+    changes sign exactly once.  For k = 1 and m = 1 the vertex s = 1 is a
+    root too, and the interior root lies below it exactly when
+    F'(1) = 1 - (1 - c_top) / c_top < 0, that is when c_top < 1/2.
+
+    Root finding.  Newton steps, F'(s) = k + (1 - 2s) sum_i r_i / d_i,
+    start from s = m c_top, below the root (the top holds at least its
+    share of the mass), inside the bracket [0, m].  A bisection step is
+    taken whenever Newton leaves the bracket or, from above the root,
+    fails to halve the previous step.  From below no such test is needed:
+    F is concave, so a Newton step lands below the root again with F
+    raised, and the loop stops at the first step that does not, since
+    rounding then decides.  It also stops once a Newton step is at most
+    one ulp of s or the bracket cannot shrink.  Every pass moves an end of
+    the bracket strictly inside it, so no iteration budget is needed.
+    Near a star the relative error of 1 - x_top and of the small
+    coordinates is about machine epsilon / (1 - 2 c_top).
+
+    Residual gate.  The result must have
+    max(|sum(x) - m|, max_i |x_i (1 - x_i) - a c_i|) <= eps, else
+    NoConvergenceError carries that residual.  Tied scores get
+    bit-identical powers.
+
+    A two-member group holding all mass has a one-parameter equilibrium
     family instead of a point and raises CenterDominantError, as does a
-    dominant score c_i >= 1/2 with total_mass = 1 (the star regime, where
-    the interior point degenerates into the center's vertex).
+    dominant score c_top >= 1/2 with total_mass = 1 (the star regime, where
+    the interior point degenerates into the center's vertex).  A mass up to
+    1e-12 above 1 counts as 1.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size < 2:
         raise DimensionTooSmallError(
             f"need at least 2 centrality entries, got {c.size}"
         )
-    if np.any(c <= 0.0) or abs(float(c.sum()) - 1.0) > 1e-9:
-        raise ValueError("centrality scores must be strictly positive and sum to 1")
+    # written to fail on NaN and infinite scores too
+    if not (np.all(c > 0.0) and abs(float(c.sum()) - 1.0) <= 1e-9):
+        raise ValueError(
+            "centrality scores must be finite, strictly positive and sum to 1"
+        )
     if not 0.0 < total_mass <= 1.0 + _CENTER_DOMINANT_MARGIN:
         raise ValueError(f"total mass must lie in (0, 1], got {total_mass!r}")
-    full_mass = total_mass >= 1.0 - _CENTER_DOMINANT_MARGIN
-    if c.size == 2:
-        if full_mass:
+    m = min(float(total_mass), 1.0)
+    c_top = float(c.max())
+    if m >= 1.0 - _CENTER_DOMINANT_MARGIN:
+        if c.size == 2:
             raise CenterDominantError(
                 "a two-member group holding all power has the equilibrium "
                 "family (a, 1-a); no unique interior point exists"
             )
-        return np.full(2, total_mass / 2.0)
-    if full_mass and float(c.max()) >= 0.5 - _CENTER_DOMINANT_MARGIN:
-        raise CenterDominantError(
-            f"dominant centrality score {float(c.max()):.6g} >= 1/2 with all "
-            "power in the group: the interior equilibrium degenerates into "
-            "the center's autocratic vertex"
-        )
-    x = total_mass * c
-    for _ in range(MAX_SOLVER_ITERATIONS):
-        y = c / (1.0 - x)
-        x_new = total_mass * (y / y.sum())
-        if float(np.max(np.abs(x_new - x))) < eps:
-            return x_new
-        x = x_new
-    raise NoConvergenceError(MAX_SOLVER_ITERATIONS)
+        if c_top >= 0.5 - _CENTER_DOMINANT_MARGIN:
+            raise CenterDominantError(
+                f"dominant centrality score {c_top:.6g} >= 1/2 with all "
+                "power in the group: the interior equilibrium degenerates into "
+                "the center's autocratic vertex"
+            )
+    top = c == c_top
+    rest = ~top
+    k = int(np.count_nonzero(top))
+    r = c[rest] / c_top
+
+    def f_df(s):
+        # capping s (1 - s) at its true maximum 1/4 keeps 4 q <= r < 1
+        q = min(s * (1.0 - s), 0.25) * r
+        d = np.sqrt(1.0 - 4.0 * q)
+        x_rest = 2.0 * q / (1.0 + d)
+        f = (s - m) + (k - 1) * s + float(x_rest.sum())
+        return f, k + (1.0 - 2.0 * s) * float((r / d).sum()), x_rest
+
+    lo, hi = 0.0, m
+    s = m * c_top
+    step = hi - lo
+    f_below = None
+    while True:
+        f, df, x_rest = f_df(s)
+        # a Newton step from below the root lands below it with F raised
+        if f_below is not None and not f_below < f < 0.0:
+            break
+        if f < 0.0:
+            lo = s
+        else:
+            hi = s
+        newton = s - f / df if df > 0.0 else math.inf
+        if abs(newton - s) <= math.ulp(s):
+            break
+        if lo < newton < hi and (f < 0.0 or abs(newton - s) <= 0.5 * abs(step)):
+            f_below, s_next = (f if f < 0.0 else None), newton
+        else:
+            f_below, s_next = None, lo + 0.5 * (hi - lo)
+            if not lo < s_next < hi:
+                break
+        step, s = s_next - s, s_next
+
+    x = np.empty_like(c)
+    x[top] = s
+    x[rest] = x_rest
+    a = s * (1.0 - s) / c_top
+    residual = max(
+        abs(float(x.sum()) - m), float(np.max(np.abs(x * (1.0 - x) - a * c)))
+    )
+    if not residual <= eps:
+        raise NoConvergenceError(residual=residual)
+    return x
 
 
 @dataclass(frozen=True)

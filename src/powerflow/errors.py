@@ -57,15 +57,16 @@ class EmptyAdviceSetError(PowerflowError):
 
 
 class NoConvergenceError(PowerflowError):
-    """An iterative solver ran out of iterations (`iterations` set), or a
-    direct solve missed its residual target (`iterations` is None)."""
+    """A solve missed its residual target (`residual` set).  No solver of
+    the package sets `iterations` any more; it stays for callers that
+    read it."""
 
     def __init__(self, iterations=None, residual=None):
         self.iterations = iterations
         self.residual = residual
         detail = "" if residual is None else f" (residual {residual:.3g})"
         if iterations is None:
-            message = f"direct solve missed its residual target{detail}"
+            message = f"solve missed its residual target{detail}"
         else:
             message = f"no convergence after {iterations} iterations{detail}"
         super().__init__(message)

@@ -1,4 +1,4 @@
-"""Bad --zeta, --max-steps and --record-every values end as input errors
+"""Bad --zeta, --max-steps, --record-every and --tol values end as input errors
 (exit 2, a one-line message on stderr, no traceback), checked in fresh
 interpreters."""
 
@@ -113,3 +113,47 @@ def test_zeta_on_a_single_sink_network_exits_2(tmp_path, make):
     assert result.stderr == (
         "error: --zeta applies only to multi-sink networks; this network has one sink\n"
     )
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_bad_step_tolerance_exits_2(command, value):
+    result = run_powerflow(command, "--builder", "ds:6:42", "--tol", value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        f"powerflow {command}: error: argument --tol: must be finite and non-negative, got {value}"
+    )
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_residual_tolerance_exits_2(value):
+    result = run_powerflow("equilibrium", "--builder", "ds:6:42", "--tol", value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        f"powerflow equilibrium: error: argument --tol: must be finite and positive, got {value}"
+    )
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "equilibrium"])
+def test_unparsable_tolerance_keeps_the_float_message(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--builder", "star:5", "--tol", "abc"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"powerflow {command}: error: argument --tol: invalid float value: 'abc'"
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_zero_step_tolerance_runs_to_max_steps(command, capsys):
+    argv = [command, "--builder", "ds:6:42", "--tol", "0", "--max-steps", "40"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    if command == "simulate":
+        assert "status: max steps reached (40)" in out
+    else:
+        assert "steps: st=40 df=40" in out

@@ -267,6 +267,16 @@ class TestSimulate:
         assert np.array_equal(thinned.states, again.states)
         assert thinned.status == again.status
 
+    @pytest.mark.parametrize("eps_conv", [-1e-3, float("nan"), float("-inf")])
+    def test_rejects_bad_eps_conv(self, eps_conv):
+        with pytest.raises(ValueError, match=f"eps_conv must be at least 0, got {eps_conv!r}"):
+            pf.simulate("st", nets.ring3(), np.full(3, 1.0 / 3.0), eps_conv=eps_conv)
+
+    def test_zero_eps_conv_runs_to_max_steps(self):
+        x0 = np.array([0.2, 0.3, 0.5])
+        traj = pf.simulate("st", nets.three_node(), x0, eps_conv=0.0, max_steps=50)
+        assert traj.status == pf.MaxStepsReached(steps=50)
+
     def test_vertex_start_absorbs_immediately(self):
         C = nets.three_node()
         e3 = np.array([0.0, 0.0, 1.0])

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import powerflow as pf
+from powerflow.cli import main
 from powerflow.errors import (
     CenterDominantError,
     DimensionTooSmallError,
     FamilyParameterRequiredError,
+    NoConvergenceError,
     StructureMismatchError,
 )
 
@@ -89,6 +91,183 @@ class TestSolveInteriorEquilibrium:
         assert abs(x[0] - x[1]) < 10 * pf.EPS_TIE
         assert abs(x[2] - x[3]) < 10 * pf.EPS_TIE
         assert x[0] > x[2]
+
+
+EPS = np.finfo(float).eps
+# the largest top score the CenterDominantError margin admits at full mass
+TOP_BELOW_HALF = float(np.nextafter(0.5 - 1e-12, 0.0))
+
+
+def hub(n, c_top):
+    """Centrality of one hub scoring c_top and n - 1 equal others."""
+    c = np.full(n, (1.0 - c_top) / (n - 1))
+    c[0] = c_top
+    return c
+
+
+def random_scores(rng, n):
+    c = rng.exponential(1.0, n) ** rng.uniform(0.5, 3.0)
+    return c / c.sum()
+
+
+def fixed_point_loop(c, m, eps=1e-13, budget=10**5):
+    """The power reallocation iteration x <- m y / sum(y), y = c / (1 - x),
+    stopped once a step is below eps: the equilibrium solver of earlier
+    releases, kept as a reference.  Returns the iterate and the loop's own
+    error estimate 2 delta rho / (1 - rho) + 1e-14, from its last step
+    delta and contraction rate rho, or None when the budget runs out."""
+    x = m * c
+    previous = None
+    for _ in range(budget):
+        y = c / (1.0 - x)
+        x_new = m * (y / y.sum())
+        delta = float(np.max(np.abs(x_new - x)))
+        if delta < eps:
+            rate = delta / previous if previous else 0.0
+            return x_new, 2.0 * delta * rate / (1.0 - rate) + 1e-14
+        x, previous = x_new, delta
+    return None
+
+
+def root_function(c, m, s):
+    """F(s) = s + sum_(i != top) x_i(s) - m on an array of s, with every
+    other coordinate on the minus branch of x (1 - x) = s (1 - s) c_i / c_top."""
+    top = int(np.argmax(c))
+    r = np.delete(c, top) / c[top]
+    q = (s * (1.0 - s))[:, None] * r
+    return s - m + np.sum(2.0 * q / (1.0 + np.sqrt(1.0 - 4.0 * q)), axis=1)
+
+
+class TestBracketedRoot:
+    @pytest.mark.parametrize("n", [3, 10, 200])
+    @pytest.mark.parametrize(
+        "c_top",
+        [0.3, 0.45, 0.49, 0.499, 0.4999, 0.49999, 0.5 - 1e-7, 0.5 - 1e-9,
+         0.5 - 1e-11, TOP_BELOW_HALF],
+    )
+    def test_hub_closed_form(self, n, c_top):
+        # x_top (1 - x_top) / c_top = x_2 (1 - x_2) / c_2 with
+        # x_2 = (1 - x_top) / (n - 1) gives 1 - x_top in closed form
+        x = pf.solve_interior_equilibrium(hub(n, c_top), 1.0)
+        gap = (1.0 - 2.0 * c_top) / ((1.0 - c_top) - c_top / (n - 1))
+        bound = 100 * EPS / (1.0 - 2.0 * c_top)
+        assert abs((1.0 - x[0]) - gap) <= bound * gap
+        assert abs(x[1] - gap / (n - 1)) <= bound * gap / (n - 1)
+
+    def test_agrees_with_the_fixed_point_loop(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for trial in range(300):
+            n = int(rng.integers(3, 40))
+            c = random_scores(rng, n)
+            m = float(rng.uniform(0.05, 1.0)) if trial % 3 else 1.0
+            if m == 1.0 and c.max() >= 0.5 - 1e-12:
+                continue
+            reference = fixed_point_loop(c, m)
+            if reference is None:
+                continue
+            x_loop, loop_error = reference
+            x = pf.solve_interior_equilibrium(c, m)
+            assert np.max(np.abs(x - x_loop)) <= loop_error
+            checked += 1
+        assert checked > 250
+
+    def test_root_function_is_concave_with_one_sign_change(self):
+        # the docstring's uniqueness argument, checked on a grid
+        rng = np.random.default_rng(8)
+        s = np.linspace(0.0, 1.0, 20001)[1:-1]
+        for trial in range(60):
+            n = int(rng.integers(2, 30))
+            c = random_scores(rng, n)
+            m = 1.0 if trial % 4 == 0 else float(rng.uniform(0.01, 1.0))
+            if m == 1.0 and (n == 2 or c.max() >= 0.49):
+                continue
+            F = root_function(c, m, s)
+            assert np.max(np.diff(F, 2)) <= 1e-14
+            changes = np.flatnonzero(np.diff(np.sign(F)) != 0)
+            assert changes.size == 1
+            x_top = pf.solve_interior_equilibrium(c, m).max()
+            assert s[changes[0]] <= x_top <= s[changes[0] + 1]
+
+    @pytest.mark.parametrize("m", [0.05, 0.3, 0.7, 0.99, 1.0 - 1e-9])
+    def test_sub_unit_masses(self, m):
+        rng = np.random.default_rng(int(m * 1000))
+        for n in (2, 3, 7, 40):
+            for c in (random_scores(rng, n), hub(n, 0.8)):
+                x = pf.solve_interior_equilibrium(c, m)
+                assert np.all((x > 0.0) & (x < m))
+                assert abs(x.sum() - m) <= 4 * EPS
+                alphas = x * (1.0 - x) / c
+                assert alphas.max() - alphas.min() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 100])
+    @pytest.mark.parametrize("m", [0.25, 0.6, 1.0])
+    def test_uniform_centrality_gives_mass_over_n(self, n, m):
+        if n == 2 and m == 1.0:
+            return  # the two-node family
+        x = pf.solve_interior_equilibrium(np.full(n, 1.0 / n), m)
+        assert np.all(np.abs(x - m / n) <= 2 * np.spacing(m / n))
+        assert np.all(x == x[0])
+
+    def test_tied_scores_give_identical_powers(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            levels = random_scores(rng, int(rng.integers(2, 6)))
+            c = rng.choice(levels, size=int(rng.integers(4, 30)))
+            c /= c.sum()
+            m = 1.0 if c.max() < 0.49 else 0.8
+            x = pf.solve_interior_equilibrium(c, m)
+            for value in np.unique(c):
+                assert np.all(x[c == value] == x[c == value][0])
+
+    def test_power_ordering_follows_centrality(self):
+        rng = np.random.default_rng(6)
+        for trial in range(60):
+            c = random_scores(rng, int(rng.integers(3, 60)))
+            m = 1.0 if trial % 2 and c.max() < 0.49 else float(rng.uniform(0.1, 1.0))
+            x = pf.solve_interior_equilibrium(c, m)
+            order = np.argsort(c, kind="stable")
+            assert np.all(np.diff(x[order]) >= 0.0)
+            # strictly, with power accumulating at the top, where scores differ
+            distinct = np.diff(c[order]) > 1e-9
+            assert np.all(np.diff(x[order])[distinct] > 0.0)
+            assert np.all(np.diff((x / c)[order])[distinct] > 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            pf.solve_interior_equilibrium(np.array([bad, 0.5, 0.5]), 1.0)
+
+    def test_residual_gate(self):
+        c = random_scores(np.random.default_rng(3), 12)
+        with pytest.raises(NoConvergenceError) as info:
+            pf.solve_interior_equilibrium(c, 0.7, eps=1e-300)
+        assert info.value.iterations is None
+        assert 0.0 < info.value.residual <= 1e-15
+        x = pf.solve_interior_equilibrium(c, 0.7, eps=info.value.residual)
+        assert abs(x.sum() - 0.7) <= info.value.residual
+
+
+def near_star_file(path, delta, n=10):
+    """Node 1 gives 1/(n - 1) to every other node; each other node gives
+    1 - delta to node 1 and delta to the next one on the ring 2 -> ... -> n -> 2."""
+    entries = np.zeros((n, n))
+    entries[0, 1:] = 1.0 / (n - 1)
+    for i in range(1, n):
+        entries[i, 0] = 1.0 - delta
+        entries[i, 1 + i % (n - 1)] = delta
+    pf.write_matrix(pf.validate_matrix(entries), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-5])
+def test_equilibrium_command_on_a_near_star(tmp_path, capsys, delta):
+    path = near_star_file(tmp_path / "near_star.txt", delta)
+    assert main(["equilibrium", "--network", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "ordering check: PASS" in lines
+    residual = next(line for line in lines if line.startswith("residual: "))
+    assert float(residual.split()[1]) <= 1e-15
 
 
 def test_coarse_grid_three_node_oracle():

@@ -30,7 +30,7 @@ IRREDUCIBLE_NOTE = (
 REACHABLE_NOTE = "reachable set absorbs all power; unique equilibrium supported there"
 # the three-node equilibrium is (15, 5, 3) / 23, with x_i (1 - x_i) / c_i = 270/529
 INTERIOR_LINES = [
-    "alpha: 0.510396975426",
+    f"alpha: {format(270 / 529, '.12g')}",
     "RESIDUAL",
     "ordering check: PASS",
 ]
