@@ -22,6 +22,7 @@ import importlib
 import logging
 import math
 import os
+import re
 import sys
 import numpy as np
 
@@ -407,8 +408,20 @@ _step_tolerance = _finite_float(allow_zero=True)
 _residual_tolerance = _finite_float(allow_zero=False)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, and through `add_subparsers` its subparsers, that
+    reads every argument starting with a dash and a digit, or a dash, a dot
+    and a digit, as a value: argparse's own pattern knows only -N and -N.N,
+    so `--tol -1e-3` or `--zeta -1e-3,1` would lose their value.  No option
+    of this grammar starts with a digit."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powerflow",
         description="Social power dynamics on influence networks: classify "
         "structure, simulate self-weight trajectories, solve equilibria, "

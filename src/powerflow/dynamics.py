@@ -21,12 +21,15 @@ Two update rules act on a self-weight vector x in the unit simplex:
 :func:`simulate` iterates either rule with convergence detection, vertex
 absorption, per-step deltas, a conservation monitor, and per-sink power
 tracking on multi-sink networks.  It steps in blocks of up to a few hundred
-steps and checks, records and measures each block with a few vectorised
-calls, writing recorded rows once into the arrays it returns.
+steps and checks, records and measures each block with a few bare ufunc
+calls into preallocated arrays, writing recorded rows once into the arrays
+it returns.  Most runs take tens of steps, so this per-block cost and the
+per-run set-up are a large share of a run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass
@@ -76,12 +79,15 @@ def check_simplex(x, eps: float = EPS_SIMPLEX) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InvalidInitialError(f"expected a vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    # bare reductions: the wrappers of np.all, np.any and sum cost more
+    # than the tests on a vector of a few hundred entries
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise InvalidInitialError("components must be finite")
-    if np.any(x < -eps) or np.any(x > 1.0 + eps):
+    if np.logical_or.reduce(x < -eps) or np.logical_or.reduce(x > 1.0 + eps):
         raise InvalidInitialError("components must lie in [0, 1]")
-    if abs(float(x.sum()) - 1.0) > max(eps, x.size * 1e-15):
-        raise InvalidInitialError(f"components must sum to 1, got {float(x.sum())!r}")
+    total = float(np.add.reduce(x))
+    if abs(total - 1.0) > max(eps, x.size * 1e-15):
+        raise InvalidInitialError(f"components must sum to 1, got {total!r}")
     return x
 
 
@@ -110,15 +116,16 @@ def _st_steps(CT: np.ndarray, states, sq: np.ndarray, appraisal: np.ndarray) -> 
     """The st kernel: write CT (x - x^2) + x^2 of each vector x in
     `states` into the next one, with `sq` and `appraisal` as scratch.
 
-    Four numpy calls per step with positional outputs; `np.dot` reaches the
-    same BLAS gemv as `@`.  The loop is here rather than in the caller
-    because a Python call per step would cost about a tenth of the step.
+    Four numpy calls per step with positional outputs; the bound `CT.dot`
+    reaches the same BLAS gemv as `@` without `np.dot`'s dispatch.  The
+    loop is here rather than in the caller because a Python call per step
+    would cost about a tenth of the step.
     """
-    multiply, subtract, dot, add = np.multiply, np.subtract, np.dot, np.add
+    multiply, subtract, dot, add = np.multiply, np.subtract, CT.dot, np.add
     for x, out in zip(states, states[1:]):
         multiply(x, x, sq)
         subtract(x, sq, appraisal)
-        dot(CT, appraisal, out)
+        dot(appraisal, out)
         add(out, sq, out)
 
 
@@ -145,7 +152,7 @@ class DfPlan:
 
 def _absorbing(x: np.ndarray) -> tuple[int, ...]:
     """0-based coordinates at which W(x) has the row e_i."""
-    return tuple(np.flatnonzero(x >= 1.0).tolist())
+    return tuple((x >= 1.0).nonzero()[0].tolist())
 
 
 def df_plan(
@@ -180,16 +187,19 @@ def df_plan(
         in_class[s] = True
     transient = np.flatnonzero(~in_class)
     if transient.size:
-        C_MM = C.entries[np.ix_(transient, transient)]
+        # a column of row indices against the column indices gathers the
+        # same block as np.ix_, without its Python-level set-up
+        rows = transient[:, None]
+        C_MM = C.entries[rows, transient]
         y = np.linalg.solve(
             np.eye(transient.size) - C_MM.T, np.full(transient.size, 1.0 / n)
         )
         for k, s in enumerate(classes):
-            weights[k] += float(y @ C.entries[np.ix_(transient, s)].sum(axis=1))
+            weights[k] += float(y @ np.add.reduce(C.entries[rows, s], axis=1))
     centralities = tuple(
         None
         if s.size == 1
-        else dominant_left_eigenvector(C.entries[np.ix_(s, s)], eps_spectral)
+        else dominant_left_eigenvector(C.entries[s[:, None], s], eps_spectral)
         for s in classes
     )
     return DfPlan(
@@ -236,8 +246,8 @@ def _df_step_into(plan: DfPlan, x: np.ndarray, out: np.ndarray) -> None:
             out[s] = w
         else:
             y = c / (1.0 - x[s])
-            out[s] = (w / y.sum()) * y
-    out /= out.sum()
+            out[s] = (w / np.add.reduce(y)) * y
+    out /= np.add.reduce(out)
 
 
 def _steps_planned(plan: DfPlan, states: np.ndarray) -> int:
@@ -245,7 +255,7 @@ def _steps_planned(plan: DfPlan, states: np.ndarray) -> int:
     exact vertex coordinates."""
     planned = np.zeros(states.shape[1], dtype=bool)
     planned[list(plan.absorbing)] = True
-    missed = np.flatnonzero(((states >= 1.0) != planned).any(axis=1))
+    missed = np.logical_or.reduce((states >= 1.0) != planned, axis=1).nonzero()[0]
     return int(missed[0]) if missed.size else len(states)
 
 
@@ -260,19 +270,21 @@ def sink_power(structure: NetworkStructure, x) -> np.ndarray:
             "sink power is defined only for multi-sink structures, "
             f"got {type(structure).__name__}"
         )
-    return _sink_totals(structure, np.asarray(x, dtype=float)[None, :])[0]
+    totals = np.empty((1, structure.num_sinks))
+    _sink_totals(structure, np.asarray(x, dtype=float)[None, :], totals)
+    return totals[0]
 
 
-def _sink_totals(structure: MultiSink, rows: np.ndarray) -> np.ndarray:
-    """Per-sink totals of every row of `rows`, shape (rows, K).
+def _sink_totals(structure: MultiSink, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write the per-sink totals of every row of `rows` into `out`, shape
+    (rows, K).
 
-    `take` gathers each sink into a C-ordered block, so every row is reduced
-    on its own exactly like a 1-D sum: a row's totals do not depend on how
-    many rows are reduced together.
+    `take` gathers each sink into a C-ordered block (`rows[:, s]` would
+    be F-ordered), so every row is reduced on its own exactly like a 1-D
+    sum: a row's totals do not depend on how many rows are reduced together.
     """
-    return np.stack(
-        [np.take(rows, s, axis=1).sum(axis=1) for s in structure.sink_index], axis=1
-    )
+    for k, s in enumerate(structure.sink_index):
+        np.add.reduce(rows.take(s, axis=1), axis=1, out=out[:, k])
 
 
 class _Recording:
@@ -290,12 +302,18 @@ class _Recording:
         self.size = 0
 
     def append(self, rows: np.ndarray) -> None:
-        end = self.size + len(rows)
+        self.extend(len(rows))[...] = rows
+
+    def extend(self, count: int) -> np.ndarray:
+        """The next `count` rows, for the caller to fill before any other
+        call: a later growth moves the array."""
+        end = self.size + count
         if end > len(self.array):
             grown = (_GROWTH * len(self.array), *self.array.shape[1:])
             self.array.resize(grown, refcheck=False)
-        self.array[self.size : end] = rows
+        rows = self.array[self.size : end]
         self.size = end
+        return rows
 
     def trimmed(self) -> np.ndarray:
         """The recorded rows as a C-contiguous array that owns its data."""
@@ -380,11 +398,11 @@ def simulate(
 ) -> Trajectory:
     """Iterate the chosen update rule from x0 and record the trajectory.
 
-    Termination: Converged once the step delta drops below `eps_conv` and
-    the fixed-point residual of the limit under the same rule is below
-    10 * eps_conv; VertexAbsorbed when the state sits within `eps_simplex`
-    of a vertex the rule leaves fixed (always immediate for model "st",
-    whose vertices are exactly fixed); MaxStepsReached otherwise.
+    Termination: VertexAbsorbed when the state sits within `eps_simplex`
+    of a vertex and the rule moves it by at most `eps_simplex` (always
+    immediate for model "st", whose vertices are exactly fixed); otherwise
+    Converged at the first step whose delta is below `eps_conv`;
+    MaxStepsReached when neither happens within `max_steps`.
 
     No renormalization is applied between steps; a drift monitor raises
     MassDriftError if total self-weight moves by more than accumulation
@@ -393,7 +411,10 @@ def simulate(
 
     The rule runs in blocks of up to a few hundred steps; deltas,
     termination candidates, drift checks, sink totals and recorded rows of
-    a block are then computed with a few array operations.  Steps computed
+    a block are then computed with a few ufunc calls into preallocated
+    arrays.  A df run ignores division by zero and invalid results (only
+    the dropped steps taken past a change of exact vertex coordinates
+    produce them); the st rule keeps the caller's error state.  Steps computed
     past the terminating one are discarded.  The step is deterministic, so
     states, deltas, steps and status are exactly those of stepping one at a
     time; the first block is short and later blocks are sized from the
@@ -418,7 +439,7 @@ def simulate(
     # written to fail on NaN too
     if not eps_conv >= 0.0:
         raise ValueError(f"eps_conv must be at least 0, got {eps_conv!r}")
-    x = check_simplex(x0, eps_simplex).astype(float).copy()
+    x = check_simplex(x0, eps_simplex).astype(float)
     n = C.n
     if x.size != n:
         raise InvalidInitialError(
@@ -437,25 +458,31 @@ def simulate(
         def advance(states) -> None:
             _st_steps(CT, states, sq, appraisal)
 
+        # a floating-point error of the st rule is a defect and warns
+        errors = contextlib.nullcontext()
     else:
         plan = df_plan(C, structure=structure, eps_spectral=eps_spectral)
 
         def advance(states) -> None:
             # The plan fits states[0].  The block loop keeps the steps up to
-            # the first later state with other exact vertex coordinates; the
-            # steps taken from it may divide by 1 - x_i = 0 and are dropped.
+            # the first later state with other exact vertex coordinates.
             nonlocal plan
             absorbing = _absorbing(states[0])
             if absorbing != plan.absorbing:
                 plan = df_plan(C, absorbing, structure, eps_spectral)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for prev, row in zip(states, states[1:]):
-                    _df_step_into(plan, prev, row)
+            for prev, row in zip(states, states[1:]):
+                _df_step_into(plan, prev, row)
+
+        # the steps taken from a state past such a change may divide by
+        # 1 - x_i = 0; they are dropped, so the run ignores those errors
+        errors = np.errstate(divide="ignore", invalid="ignore")
+
+    maximum, add = np.maximum.reduce, np.add.reduce
 
     def fixed_point_deviation(v: np.ndarray) -> float:
         nxt = np.empty(n)
         advance([v, nxt])
-        return float(np.max(np.abs(nxt - v)))
+        return float(maximum(np.abs(nxt - v)))
 
     # each row is written once, into the array that is returned
     states = _Recording(n)
@@ -463,8 +490,8 @@ def simulate(
     step_deltas = _Recording()
     if multi:
         sink_rows = _Recording(structure.num_sinks)
-        sink_rows.append(_sink_totals(structure, x[None, :]))
-    mass0 = float(x.sum())
+        _sink_totals(structure, x[None, :], sink_rows.extend(1))
+    mass0 = float(add(x))
     logger.info("simulate model=%s n=%d max_steps=%d", model, n, max_steps)
 
     status: Optional[TrajectoryStatus] = None
@@ -478,68 +505,79 @@ def simulate(
         buf = np.empty((_MAX_BLOCK + 1, n))
         buf[0] = x
         rows = [buf[0]]  # views of buf's rows, extended as blocks grow
+        # per-step scratch, sliced to the block's k steps
+        deltas = np.empty(_MAX_BLOCK)
+        peaks = np.empty(_MAX_BLOCK)
+        near_fixed = np.empty(_MAX_BLOCK, dtype=bool)
+        near_vertex = np.empty(_MAX_BLOCK, dtype=bool)
+        vertex_level = 1.0 - eps_simplex
         k = _FIRST_BLOCK
         previous_delta = math.nan
-        while t < max_steps:
-            # rows[j] holds the state at step t + j for j = 0 .. k
-            k = min(k, max_steps - t)
-            rows.extend(buf[len(rows) : k + 1])
-            advance(rows[: k + 1])
-            if model == ORIGINAL_DF:
-                # a df state reaching or leaving a vertex coordinate needs
-                # another plan: the steps taken from it are dropped
-                k = 1 + _steps_planned(plan, buf[1:k])
-            block = buf[1 : k + 1]
-            deltas = np.abs(block - buf[:k]).max(axis=1)
-            peaks = block.max(axis=1)
-            candidates = np.nonzero((deltas < eps_conv) | (peaks >= 1.0 - eps_simplex))[0]
-            end = k
-            for j in (candidates + 1).tolist():
-                # the delta of step t + j + 1 is the fixed-point deviation of row j
-                fixed_dev = deltas[j] if j < k else fixed_point_deviation(rows[j])
-                vi = vertex_index(rows[j], eps_simplex)
-                if vi is not None and fixed_dev <= eps_simplex:
-                    status = VertexAbsorbed(vertex=vi, at=t + j)
-                elif deltas[j - 1] < eps_conv and fixed_dev < 10.0 * eps_conv:
-                    status = Converged(at=t + j, limit=rows[j].copy())
-                else:
-                    continue
-                end = j
-                break
-            for step_no in range(
-                t + _MASS_CHECK_INTERVAL - t % _MASS_CHECK_INTERVAL,
-                t + end + 1,
-                _MASS_CHECK_INTERVAL,
-            ):
-                drift = abs(float(rows[step_no - t].sum()) - mass0)
-                if drift > _MASS_DRIFT_LIMIT:
-                    raise MassDriftError(
-                        f"total self-weight drifted by {drift:.3g} after {step_no} steps"
-                    )
-            step_deltas.append(deltas[:end])
-            if multi:
-                sink_rows.append(_sink_totals(structure, buf[1 : end + 1]))
-            first = record_every - t % record_every
-            states.append(buf[first : end + 1 : record_every])
-            last = float(deltas[end - 1])
-            before = float(deltas[end - 2]) if end > 1 else previous_delta
-            rate = last / before if before > 0.0 else math.nan
-            t += end
-            logger.debug(
-                "simulate block: steps=%d block=%d delta=%.3g rate=%.9g",
-                t, k, last, rate,
-            )
-            buf[0] = rows[end]
-            if status is not None:
-                break
-            previous_delta = last
-            gap = 1.0 - float(peaks[end - 1])
-            k = _block_length(k, last, rate, gap, eps_conv, eps_simplex)
+        with errors:
+            while t < max_steps:
+                # rows[j] holds the state at step t + j for j = 0 .. k
+                k = min(k, max_steps - t)
+                rows.extend(buf[len(rows) : k + 1])
+                advance(rows[: k + 1])
+                if model == ORIGINAL_DF:
+                    # a df state reaching or leaving a vertex coordinate needs
+                    # another plan: the steps taken from it are dropped
+                    k = 1 + _steps_planned(plan, buf[1:k])
+                block = buf[1 : k + 1]
+                change = np.subtract(block, buf[:k])
+                maximum(np.absolute(change, out=change), axis=1, out=deltas[:k])
+                maximum(block, axis=1, out=peaks[:k])
+                np.less(deltas[:k], eps_conv, out=near_fixed[:k])
+                np.greater_equal(peaks[:k], vertex_level, out=near_vertex[:k])
+                np.logical_or(near_fixed[:k], near_vertex[:k], out=near_fixed[:k])
+                end = k
+                for j in (near_fixed[:k].nonzero()[0] + 1).tolist():
+                    vi = vertex_index(rows[j], eps_simplex)
+                    # the delta of step t + j + 1 is the fixed-point deviation of row j
+                    if vi is not None and (
+                        deltas[j] if j < k else fixed_point_deviation(rows[j])
+                    ) <= eps_simplex:
+                        status = VertexAbsorbed(vertex=vi, at=t + j)
+                    elif deltas[j - 1] < eps_conv:
+                        status = Converged(at=t + j, limit=rows[j].copy())
+                    else:
+                        continue
+                    end = j
+                    break
+                for step_no in range(
+                    t + _MASS_CHECK_INTERVAL - t % _MASS_CHECK_INTERVAL,
+                    t + end + 1,
+                    _MASS_CHECK_INTERVAL,
+                ):
+                    drift = abs(float(add(rows[step_no - t])) - mass0)
+                    if drift > _MASS_DRIFT_LIMIT:
+                        raise MassDriftError(
+                            f"total self-weight drifted by {drift:.3g} after {step_no} steps"
+                        )
+                step_deltas.append(deltas[:end])
+                if multi:
+                    _sink_totals(structure, buf[1 : end + 1], sink_rows.extend(end))
+                first = record_every - t % record_every
+                states.append(buf[first : end + 1 : record_every])
+                last = float(deltas[end - 1])
+                before = float(deltas[end - 2]) if end > 1 else previous_delta
+                rate = last / before if before > 0.0 else math.nan
+                t += end
+                logger.debug(
+                    "simulate block: steps=%d block=%d delta=%.3g rate=%.9g",
+                    t, k, last, rate,
+                )
+                buf[0] = rows[end]
+                if status is not None:
+                    break
+                previous_delta = last
+                gap = 1.0 - float(peaks[end - 1])
+                k = _block_length(k, last, rate, gap, eps_conv, eps_simplex)
         x = buf[0].copy()
         if status is None:
             status = MaxStepsReached(steps=max_steps)
 
-    drift = abs(float(x.sum()) - mass0)
+    drift = abs(float(add(x)) - mass0)
     if drift > _MASS_DRIFT_LIMIT:
         raise MassDriftError(
             f"total self-weight drifted by {drift:.3g} after {t} steps"

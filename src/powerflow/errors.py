@@ -57,19 +57,11 @@ class EmptyAdviceSetError(PowerflowError):
 
 
 class NoConvergenceError(PowerflowError):
-    """A solve missed its residual target (`residual` set).  No solver of
-    the package sets `iterations` any more; it stays for callers that
-    read it."""
+    """A solve missed its residual target; `residual` is the one it reached."""
 
-    def __init__(self, iterations=None, residual=None):
-        self.iterations = iterations
+    def __init__(self, residual):
         self.residual = residual
-        detail = "" if residual is None else f" (residual {residual:.3g})"
-        if iterations is None:
-            message = f"solve missed its residual target{detail}"
-        else:
-            message = f"no convergence after {iterations} iterations{detail}"
-        super().__init__(message)
+        super().__init__(f"solve missed its residual target (residual {residual:.3g})")
 
 
 class InvalidInitialError(PowerflowError):

@@ -8,6 +8,10 @@ the strongly-connected-component machinery, and the classifier that splits
 a network into one of three variants: irreducible, reducible with a
 globally reachable node set, or multi-sink.  Each variant carries its
 closed classes as `sink_index`, for the other modules to read.
+:func:`classify` reads the positive pattern once, for the component
+search, and its star test reads one row plus a row and a column per
+candidate centre, so its cost is that of the pattern pass and Tarjan's
+O(n + edges) search.
 
 All node identifiers on public surfaces are 1-based.
 """
@@ -97,9 +101,12 @@ def _validate_owned(
 def _tarjan(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
     """Strongly connected components of an adjacency-list digraph (0-based).
 
-    Iterative so deep graphs cannot hit the recursion limit.  Components
-    come out in reverse topological order of the condensation: whenever an
-    edge runs from component A to component B, B is emitted first.
+    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972), iterative so deep
+    graphs cannot hit the recursion limit: each frame of the explicit DFS
+    stack holds a node and an iterator over its neighbours, which resumes
+    where the descent into a child left it.  Components come out in reverse
+    topological order of the condensation: whenever an edge runs from
+    component A to component B, B is emitted first.
     """
     n = len(adjacency)
     index = [-1] * n
@@ -111,40 +118,38 @@ def _tarjan(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adjacency[root]))]
         while work:
-            v, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbors = adjacency[v]
-            for pos in range(edge_pos, len(neighbors)):
-                w = neighbors[pos]
+            v, neighbors = work[-1]
+            for w in neighbors:
                 if index[w] == -1:
-                    work[-1] = (v, pos + 1)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adjacency[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
     return components
 
 
@@ -172,21 +177,27 @@ class Condensation:
 def _condensation(entries: np.ndarray) -> Condensation:
     """Condensation of the positive-entry pattern of any square matrix."""
     n = entries.shape[0]
-    # one nonzero pass; its column list is cut into rows at the row offsets
-    heads, tails = np.nonzero(entries > 0.0)
+    # one pass over the pattern; its column list is cut into rows at the row
+    # offsets (a flat nonzero plus divmod is several times faster than 2-D)
+    heads, tails = np.divmod(np.flatnonzero(entries > 0.0), n)
     offsets = np.searchsorted(heads, np.arange(n + 1)).tolist()
     tails_list = tails.tolist()
     adjacency = [tails_list[a:b] for a, b in zip(offsets, offsets[1:])]
     raw = _tarjan(adjacency)
-    component_index = np.empty(n, dtype=int)
+    component_index = [0] * n
     for k, component in enumerate(raw):
-        component_index[component] = k
-    src, dst = component_index[heads], component_index[tails]
-    cross = src != dst
+        for v in component:
+            component_index[v] = k
+    edges: frozenset[tuple[int, int]] = frozenset()
+    if len(raw) > 1:
+        index = np.array(component_index)
+        src, dst = index[heads], index[tails]
+        cross = src != dst
+        edges = frozenset(zip(src[cross].tolist(), dst[cross].tolist()))
     return Condensation(
         components=tuple(tuple(sorted(v + 1 for v in comp)) for comp in raw),
-        component_index=tuple(component_index.tolist()),
-        edges=frozenset(zip(src[cross].tolist(), dst[cross].tolist())),
+        component_index=tuple(component_index),
+        edges=edges,
     )
 
 
@@ -222,19 +233,29 @@ def star_center(
     members never count: with two nodes the pattern is a symmetric swap,
     not a star.  Callers should pass a group whose induced submatrix is
     row-stochastic (the full network, a sink, or the reachable set).
+    "Weight 1" means at least 1 - eps; when several members qualify, the
+    lowest-numbered one is the center.  The test reads O(|nodes|) entries.
     """
     if nodes is None:
         idx = np.arange(C.n)
     else:
         idx = np.asarray(sorted(nodes), dtype=int) - 1
-    k = idx.size
-    if k < 3:
+    if idx.size < 3:
         return None
-    sub = C.entries[np.ix_(idx, idx)]
-    # both tests skip the diagonal: inf passes either (sub is a copy)
-    np.fill_diagonal(sub, np.inf)
-    centers = np.flatnonzero((sub >= 1.0 - eps).all(axis=0) & (sub > 0.0).all(axis=1))
-    return int(idx[centers[0]]) + 1 if centers.size else None
+    entries = C.entries
+    threshold = 1.0 - eps
+    # a centre other than the first member gets >= 1 - eps from it, so only
+    # those members and the first one are tested, one row and column each
+    candidates = np.flatnonzero(entries[idx[0], idx] >= threshold)
+    for p in (0, *candidates[candidates > 0].tolist()):
+        h = idx[p]
+        # both tests skip the diagonal, position p of each vector
+        column = entries[idx, h] >= threshold
+        row = entries[h, idx] > 0.0
+        column[p] = row[p] = True
+        if column.all() and row.all():
+            return int(h) + 1
+    return None
 
 
 def _sink_index(sinks) -> tuple[np.ndarray, ...]:
@@ -340,8 +361,7 @@ def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
     sink_ids = condensation.sinks
     if len(sink_ids) == 1:
         reachable = condensation.components[sink_ids[0]]
-        center = star_center(C, reachable) if len(reachable) >= 3 else None
-        return ReducibleReachable(C.n, reachable, center)
+        return ReducibleReachable(C.n, reachable, star_center(C, reachable))
     sinks = tuple(
         sorted((condensation.components[k] for k in sink_ids), key=lambda c: c[0])
     )

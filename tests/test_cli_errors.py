@@ -157,3 +157,31 @@ def test_zero_step_tolerance_runs_to_max_steps(command, capsys):
         assert "status: max steps reached (40)" in out
     else:
         assert "steps: st=40 df=40" in out
+
+
+@pytest.mark.parametrize("spelling", ["separate", "joined"])
+@pytest.mark.parametrize(
+    "command, rule",
+    [("simulate", "non-negative"), ("compare", "non-negative"), ("equilibrium", "positive")],
+)
+def test_tolerance_with_minus_and_exponent_reaches_the_range_message(
+    command, rule, spelling, capsys
+):
+    # argparse's own pattern reads "-1e-3" as an option, not as the value of --tol
+    tol = ["--tol", "-1e-3"] if spelling == "separate" else ["--tol=-1e-3"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--builder", "ds:6:42", *tol])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"powerflow {command}: error: argument --tol: must be finite and {rule}, got -1e-3"
+    )
+
+
+@pytest.mark.parametrize("spelling", ["separate", "joined"])
+@pytest.mark.parametrize("zeta", ["-1e-3,1", "-.5,1.5"])
+def test_zeta_with_minus_reaches_the_range_message(two_sink_file, zeta, spelling, capsys):
+    option = ["--zeta", zeta] if spelling == "separate" else [f"--zeta={zeta}"]
+    assert main(["equilibrium", "--network", two_sink_file, *option]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad zeta spec {zeta!r}: sink totals must be non-negative and sum to 1\n"
+    )

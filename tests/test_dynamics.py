@@ -395,7 +395,7 @@ def _stepwise_st(C, x, max_steps, record_every=1, eps_conv=pf.EPS_CONV, eps_simp
             if pf.vertex_index(x, eps_simplex) is not None and fixed_dev <= eps_simplex:
                 status = ("VertexAbsorbed", t)
                 break
-            if delta < eps_conv and fixed_dev < 10 * eps_conv:
+            if delta < eps_conv:
                 status = ("Converged", t)
                 break
     if steps[-1] != t:
@@ -576,6 +576,35 @@ class TestBlockedEngine:
             traj = pf.simulate("df", C, x, eps_conv=0.0, eps_simplex=0.0, max_steps=50)
         assert np.array_equal(traj.states, np.array(states))
         assert _status_key(traj.status) == ("VertexAbsorbed", vertex_step + 1)
+
+    def test_error_state_unchanged_after_simulate(self, block_sizes):
+        before = np.geterr()
+        x0 = np.array([0.2, 0.3, 0.5])
+        for model in ("st", "df"):
+            pf.simulate(model, nets.three_node(), x0)
+            assert np.geterr() == before
+        # x_1 reaches exactly 1.0 mid-block; the dropped steps past it divide by 0
+        x = np.full(10, 20e-17 / 9)
+        x[0] = 1.0 - x[1:].sum()
+        pf.simulate("df", pf.build_star(10), x, eps_conv=0.0, eps_simplex=0.0, max_steps=50)
+        assert np.geterr() == before
+        # the first df step normalizes the excess mass away: drift at step 512
+        heavy = np.array([0.2, 0.3, 0.5 + 5e-7])
+        with pytest.raises(MassDriftError, match=r"after 512 steps$"):
+            pf.simulate("df", nets.three_node(), heavy, eps_conv=0.0, max_steps=600, eps_simplex=1e-6)
+        assert np.geterr() == before
+        gaining = RelativeInteractionMatrix((np.ones((3, 3)) - np.eye(3)) * 0.5 * (1.0 + 1e-8))
+        with pytest.raises(MassDriftError, match=r"after 512 steps$"):
+            pf.simulate("st", gaining, x0, max_steps=600)
+        assert np.geterr() == before
+
+    def test_st_floating_point_error_warns(self):
+        # weights of 1e308 overflow the state in the second step's x * x
+        C = RelativeInteractionMatrix((np.ones((3, 3)) - np.eye(3)) * 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow encountered in multiply"):
+                pf.simulate("st", C, np.array([0.2, 0.3, 0.5]), eps_conv=0.0, max_steps=3)
 
     def test_debug_line_per_block(self, caplog):
         caplog.set_level(logging.DEBUG, logger="powerflow.dynamics")

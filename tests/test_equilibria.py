@@ -242,7 +242,6 @@ class TestBracketedRoot:
         c = random_scores(np.random.default_rng(3), 12)
         with pytest.raises(NoConvergenceError) as info:
             pf.solve_interior_equilibrium(c, 0.7, eps=1e-300)
-        assert info.value.iterations is None
         assert 0.0 < info.value.residual <= 1e-15
         x = pf.solve_interior_equilibrium(c, 0.7, eps=info.value.residual)
         assert abs(x.sum() - 0.7) <= info.value.residual

@@ -198,6 +198,76 @@ class TestStronglyConnectedComponents:
             assert _condensation(entries) == _condensation_per_row(entries)
 
 
+def _reachability(entries):
+    """reach[i, j] iff node j can be reached from node i (each node reaches
+    itself), by squaring the boolean adjacency until it stops changing."""
+    n = entries.shape[0]
+    reach = (entries > 0) | np.eye(n, dtype=bool)
+    while True:
+        wider = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
+
+
+def _mostly_acyclic(rng, n):
+    """Raw digraph whose edges mostly run from a node to a lower one, so most
+    components are single nodes; rare upward edges close a few cycles."""
+    down = np.tril(rng.random((n, n)) < rng.uniform(0.05, 0.3), -1)
+    up = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.04), 1)
+    return rng.uniform(0.1, 1.0, (n, n)) * (down | up)
+
+
+class TestCondensationAgainstReachability:
+    """_condensation checked against mutual reachability, with no call of
+    the component search it is built on."""
+
+    def test_components_order_and_index_on_mostly_acyclic_digraphs(self):
+        rng = np.random.default_rng(31)
+        singletons = nodes = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 40))
+            entries = _mostly_acyclic(rng, n)
+            cond = _condensation(entries)
+            reach = _reachability(entries)
+            mutual = reach & reach.T
+            expected = {tuple((np.flatnonzero(mutual[i]) + 1).tolist()) for i in range(n)}
+            assert len(cond.components) == len(expected)
+            assert set(cond.components) == expected
+            for i in range(n):
+                assert i + 1 in cond.components[cond.component_index[i]]
+            # reverse topological: a component reachable from another comes first
+            for a, comp_a in enumerate(cond.components):
+                for b, comp_b in enumerate(cond.components):
+                    if a != b and reach[comp_a[0] - 1, comp_b[0] - 1]:
+                        assert b < a
+            index = cond.component_index
+            assert cond.edges == {
+                (index[i], index[j])
+                for i, j in zip(*np.nonzero(entries > 0))
+                if index[i] != index[j]
+            }
+            singletons += sum(len(c) == 1 for c in cond.components)
+            nodes += n
+        assert singletons > nodes / 2
+
+    def test_long_path_and_cycle(self):
+        # 5000 nodes deep: a recursive search would pass Python's recursion limit
+        n = 5000
+        entries = np.zeros((n, n), dtype=bool)
+        entries[np.arange(n - 1), np.arange(1, n)] = True
+        cond = _condensation(entries)
+        # the search from node 1 reaches node n last and emits it first
+        assert cond.components == tuple((v,) for v in range(n, 0, -1))
+        assert cond.component_index == tuple(range(n - 1, -1, -1))
+        assert cond.edges == {(k + 1, k) for k in range(n - 1)}
+        entries[n - 1, 0] = True
+        cond = _condensation(entries)
+        assert cond.components == (tuple(range(1, n + 1)),)
+        assert cond.component_index == (0,) * n
+        assert cond.edges == frozenset()
+
+
 class TestGloballyReachableSet:
     def test_irreducible_gives_all_nodes(self):
         assert pf.globally_reachable_set(nets.ring3()) == (1, 2, 3)
