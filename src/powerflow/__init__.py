@@ -41,9 +41,8 @@ _EXPORTS = {
             "df_plan", "df_step", "simulate", "sink_power",
         )),
         ("equilibria", (
-            "EquilibriumPrediction", "TwoNodeEquilibrium", "ComparisonReport",
-            "fixed_point_residual", "solve_interior_equilibrium",
-            "two_node_equilibrium", "predict_limit",
+            "EquilibriumPrediction", "ComparisonReport", "fixed_point_residual",
+            "solve_interior_equilibrium", "predict_limit",
             "assemble_multisink_equilibrium", "compare_models", "regime_name",
         )),
         ("io", (

@@ -265,6 +265,22 @@ def cmd_equilibrium(args) -> int:
             "--zeta applies only to multi-sink networks; this network has one sink"
         )
     profile = centrality_profile(C, structure)
+    if args.zeta is not None:
+        # assembled before the first line of output: a rejected split prints none
+        try:
+            zeta = np.asarray([float(p) for p in args.zeta.split(",")], dtype=float)
+            x_star = assemble_multisink_equilibrium(structure, profile, zeta, eps=args.tol)
+        except FamilyParameterRequiredError as exc:
+            assembled = [f"equilibrium family: {exc}"]
+        except ValueError as exc:
+            # unparsable totals, a wrong count, or totals off the simplex
+            raise InvalidInitialError(f"bad zeta spec {args.zeta!r}: {exc}") from exc
+        else:
+            assembled = [
+                f"sink power: {_fmt_vec(zeta)}",
+                f"assembled equilibrium: {_fmt_vec(x_star)}",
+                f"residual: {_fmt(fixed_point_residual(C, x_star))}",
+            ]
     print(f"regime: {regime_name(structure)}")
     print("fixed points: every autocratic vertex e_i")
     # the uniform start is no vertex for n >= 2, so the structure alone decides
@@ -297,18 +313,7 @@ def cmd_equilibrium(args) -> int:
         for k, c_k in enumerate(profile.per_sink, start=1):
             print(f"sink {k} centrality: {_fmt_vec(c_k)}")
     else:
-        try:
-            zeta = np.asarray([float(p) for p in args.zeta.split(",")], dtype=float)
-            x_star = assemble_multisink_equilibrium(structure, profile, zeta, eps=args.tol)
-        except FamilyParameterRequiredError as exc:
-            print(f"equilibrium family: {exc}")
-            return 0
-        except ValueError as exc:
-            # unparsable totals, a wrong count, or totals off the simplex
-            raise InvalidInitialError(f"bad zeta spec {args.zeta!r}: {exc}") from exc
-        print(f"sink power: {_fmt_vec(zeta)}")
-        print(f"assembled equilibrium: {_fmt_vec(x_star)}")
-        print(f"residual: {_fmt(fixed_point_residual(C, x_star))}")
+        print(*assembled, sep="\n")
     return 0
 
 
@@ -410,14 +415,17 @@ _residual_tolerance = _finite_float(allow_zero=False)
 
 class _Parser(argparse.ArgumentParser):
     """An argparse parser, and through `add_subparsers` its subparsers, that
-    reads every argument starting with a dash and a digit, or a dash, a dot
-    and a digit, as a value: argparse's own pattern knows only -N and -N.N,
-    so `--tol -1e-3` or `--zeta -1e-3,1` would lose their value.  No option
-    of this grammar starts with a digit."""
+    reads every argument starting with a dash and a digit, a dash, a dot and
+    a digit, or a dash and float()'s spelling of an infinity or NaN (any
+    case) as a value: argparse's own pattern knows only -N and -N.N, so
+    `--tol -1e-3`, `--tol -inf` or `--zeta -1e-3,1` would lose their value.
+    No option of this grammar starts with a digit, "inf" or "nan"."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"-(\.?\d|inf(inity)?$|nan$)", re.IGNORECASE
+        )
 
 
 def _parser() -> argparse.ArgumentParser:

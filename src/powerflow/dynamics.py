@@ -499,7 +499,7 @@ def simulate(
     v0 = vertex_index(x, eps_simplex)
     if v0 is not None and fixed_point_deviation(x) <= eps_simplex:
         status = VertexAbsorbed(vertex=v0, at=0)
-    elif getattr(structure, "degenerate_pair", False):
+    elif n == 2:
         status = Converged(at=0, limit=x.copy())
     else:
         buf = np.empty((_MAX_BLOCK + 1, n))

@@ -11,7 +11,9 @@ condition is a concave function of s with a single sign change.
 
 :func:`predict_limit` dispatches on the classified network structure;
 :func:`assemble_multisink_equilibrium` materializes the equilibrium of a
-multi-sink network from a given split of power among the sinks;
+multi-sink network from a given split of power among the sinks, with that
+one solver for every sink of two or more nodes (a two-node sink holding all
+power is the family (a, 1-a), whose member `alpha` picks);
 :func:`compare_models` runs both update rules from one initial state.
 """
 
@@ -192,31 +194,6 @@ def solve_interior_equilibrium(
     return x
 
 
-@dataclass(frozen=True)
-class TwoNodeEquilibrium:
-    """Equilibrium of a two-node sink holding total power `total`.
-
-    `point` is the even split (total/2, total/2) when total < 1; with all
-    power in the sink every split (a, 1-a) is fixed and `point` is None.
-    """
-
-    total: float
-    point: Optional[np.ndarray]
-
-    @property
-    def is_family(self) -> bool:
-        return self.point is None
-
-
-def two_node_equilibrium(zeta: float) -> TwoNodeEquilibrium:
-    """Equilibrium of a two-node sink as a function of its power total."""
-    if not 0.0 <= zeta <= 1.0 + _CENTER_DOMINANT_MARGIN:
-        raise ValueError(f"sink power total must lie in [0, 1], got {zeta!r}")
-    if zeta >= 1.0 - _CENTER_DOMINANT_MARGIN:
-        return TwoNodeEquilibrium(total=zeta, point=None)
-    return TwoNodeEquilibrium(total=zeta, point=np.full(2, zeta / 2.0))
-
-
 KIND_VERTEX = "vertex"
 KIND_STAR_AUTOCRAT = "star_autocrat"
 KIND_UNIQUE_INTERIOR = "unique_interior"
@@ -325,11 +302,13 @@ def assemble_multisink_equilibrium(
 ) -> np.ndarray:
     """Equilibrium of a multi-sink network for a given sink power split.
 
-    Non-sink nodes get 0.  A sink with total 0 gets the zero vector; a
-    two-node sink gets the even split, unless it holds all power, in which
-    case its equilibria form the family (a, 1-a) and `alpha` must pick the
-    member (FamilyParameterRequiredError otherwise).  Larger sinks are
-    solved from their centrality scores with the sink total as mass.
+    Non-sink nodes get 0, a sink with total 0 the zero vector and a
+    one-node sink its total.  Every sink of two or more nodes is solved by
+    :func:`solve_interior_equilibrium` from its centrality scores with the
+    sink total as mass; a two-node sink (scores (1/2, 1/2)) thus gets the
+    even split.  A two-node sink holding all power has the equilibrium
+    family (a, 1-a) instead, and `alpha` picks the member
+    (FamilyParameterRequiredError without it).
     """
     if not isinstance(structure, MultiSink):
         raise StructureMismatchError(
@@ -351,21 +330,22 @@ def assemble_multisink_equilibrium(
             continue
         if idx.size == 1:
             x[idx] = total
-        elif idx.size == 2:
-            split = two_node_equilibrium(total)
-            if split.is_family:
-                if alpha is None:
-                    raise FamilyParameterRequiredError(
-                        f"sink {k + 1} holds all power: its equilibria are "
-                        "the family (a, 1-a); pass alpha to pick one"
-                    )
-                if not 0.0 <= alpha <= 1.0:
-                    raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-                x[idx] = (alpha, 1.0 - alpha)
-            else:
-                x[idx] = split.point
-        else:
+            continue
+        try:
             x[idx] = solve_interior_equilibrium(profile.per_sink[k], total, eps)
+            continue
+        except CenterDominantError:
+            if idx.size != 2:
+                raise
+        # a two-node sink holding all power: the family (a, 1-a)
+        if alpha is None:
+            raise FamilyParameterRequiredError(
+                f"sink {k + 1} holds all power: its equilibria are "
+                "the family (a, 1-a); pass alpha to pick one"
+            )
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+        x[idx] = (alpha, 1.0 - alpha)
     return x
 
 

@@ -271,20 +271,23 @@ def _sink_index(sinks) -> tuple[np.ndarray, ...]:
 class Irreducible:
     """Strongly connected network.
 
-    `star_center` is set iff the star predicate holds.  A two-node network
-    is flagged `degenerate_pair`: both update rules fix every interior
-    point of the simplex, so no unique interior equilibrium exists.  The
-    whole network is the one closed class, so `sink_index` holds the single
-    array 0..n-1.
+    `star_center` is set iff the star predicate holds.  The whole network
+    is the one closed class, so `sink_index` holds the single array 0..n-1.
     """
 
     n: int
     star_center: Optional[int] = None
-    degenerate_pair: bool = False
     sink_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sink_index", _sink_index((np.arange(1, self.n + 1),)))
+
+    @property
+    def degenerate_pair(self) -> bool:
+        """True for a two-node network, which can only be the swap
+        [[0, 1], [1, 0]]: both update rules fix every interior point of the
+        simplex, so no unique interior equilibrium exists."""
+        return self.n == 2
 
 
 @dataclass(frozen=True)
@@ -355,9 +358,7 @@ def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
     """
     condensation = strongly_connected_components(C)
     if len(condensation.components) == 1:
-        return Irreducible(
-            C.n, star_center=star_center(C), degenerate_pair=C.n == 2
-        )
+        return Irreducible(C.n, star_center=star_center(C))
     sink_ids = condensation.sinks
     if len(sink_ids) == 1:
         reachable = condensation.components[sink_ids[0]]

@@ -44,6 +44,7 @@ def two_sink_file(tmp_path):
 def test_bad_zeta_exits_2(two_sink_file, zeta, message):
     result = run_powerflow("equilibrium", "--network", two_sink_file, "--zeta", zeta)
     assert result.returncode == 2
+    assert result.stdout == ""
     assert result.stderr == f"error: bad zeta spec {zeta!r}: {message}\n"
     assert "Traceback" not in result.stderr
 
@@ -159,21 +160,22 @@ def test_zero_step_tolerance_runs_to_max_steps(command, capsys):
         assert "steps: st=40 df=40" in out
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-inf", "-nan"])
 @pytest.mark.parametrize("spelling", ["separate", "joined"])
 @pytest.mark.parametrize(
     "command, rule",
     [("simulate", "non-negative"), ("compare", "non-negative"), ("equilibrium", "positive")],
 )
 def test_tolerance_with_minus_and_exponent_reaches_the_range_message(
-    command, rule, spelling, capsys
+    command, rule, spelling, value, capsys
 ):
-    # argparse's own pattern reads "-1e-3" as an option, not as the value of --tol
-    tol = ["--tol", "-1e-3"] if spelling == "separate" else ["--tol=-1e-3"]
+    # argparse's own pattern reads "-1e-3" or "-inf" as an option, not as the value of --tol
+    tol = ["--tol", value] if spelling == "separate" else [f"--tol={value}"]
     with pytest.raises(SystemExit) as exc:
         main([command, "--builder", "ds:6:42", *tol])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
-        f"powerflow {command}: error: argument --tol: must be finite and {rule}, got -1e-3"
+        f"powerflow {command}: error: argument --tol: must be finite and {rule}, got {value}"
     )
 
 

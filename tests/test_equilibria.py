@@ -75,6 +75,15 @@ class TestSolveInteriorEquilibrium:
         with pytest.raises(CenterDominantError):
             pf.solve_interior_equilibrium(np.array([0.5, 0.5]), 1.0)
 
+    @pytest.mark.parametrize(
+        "m", [1e-300, 1e-12, *np.linspace(0.0, 1.0, 41)[1:-1], 1.0 - 1e-11,
+              float(np.nextafter(1.0 - 1e-12, 0.0))],
+    )
+    def test_pair_is_the_even_split_bit_for_bit(self, m):
+        # assemble_multisink_equilibrium rests on this for its two-node sinks
+        x = pf.solve_interior_equilibrium(np.array([0.5, 0.5]), m)
+        assert np.array_equal(x, np.full(2, m / 2.0))
+
     def test_too_small(self):
         with pytest.raises(DimensionTooSmallError):
             pf.solve_interior_equilibrium(np.array([1.0]), 1.0)
@@ -327,19 +336,6 @@ def test_prediction_soundness_randomized():
             assert np.max(np.abs(limit - prediction.x_star)) < 1e-6
 
 
-class TestTwoNodeEquilibrium:
-    def test_half_mass(self):
-        out = pf.two_node_equilibrium(0.5)
-        assert not out.is_family
-        assert np.allclose(out.point, [0.25, 0.25])
-
-    def test_full_mass_family(self):
-        assert pf.two_node_equilibrium(1.0).is_family
-
-    def test_zero(self):
-        assert np.allclose(pf.two_node_equilibrium(0.0).point, [0.0, 0.0])
-
-
 class TestPredictLimit:
     def test_vertex_start(self):
         C = nets.three_node()
@@ -430,6 +426,22 @@ class TestAssembleMultisink:
             pf.assemble_multisink_equilibrium(structure, profile, [1.0, 0.0])
         x = pf.assemble_multisink_equilibrium(structure, profile, [1.0, 0.0], alpha=0.3)
         assert np.allclose(x, [0.3, 0.7, 0.0, 0.0, 0.0], atol=1e-12)
+
+    def test_two_node_sink_half_mass(self):
+        _, structure, profile = self._setup(nets.two_sink_six)
+        x = pf.assemble_multisink_equilibrium(structure, profile, [0.5, 0.5])
+        assert np.array_equal(x[:2], [0.25, 0.25])
+
+    def test_two_node_sink_full_mass_family(self):
+        _, structure, profile = self._setup(nets.two_sink_six)
+        with pytest.raises(FamilyParameterRequiredError, match="sink 1 holds all power"):
+            pf.assemble_multisink_equilibrium(structure, profile, [1.0, 0.0])
+
+    def test_two_node_sink_zero(self):
+        # beside the second two-node sink, which holds all power
+        _, structure, profile = self._setup(nets.two_sink_five)
+        x = pf.assemble_multisink_equilibrium(structure, profile, [0.0, 1.0], alpha=0.25)
+        assert np.array_equal(x, [0.0, 0.0, 0.25, 0.75, 0.0])
 
     def test_empty_sink_gets_zero_vector(self):
         C, structure, profile = self._setup(nets.two_sink_six)
