@@ -30,6 +30,7 @@ _EXPORTS = {
             "NetworkStructure", "Irreducible", "ReducibleReachable", "MultiSink",
             "validate_matrix", "strongly_connected_components",
             "globally_reachable_set", "star_center", "classify",
+            "SingleSink", "single_sink",
         )),
         ("spectral", (
             "EPS_SPECTRAL", "CentralityProfile", "InfluenceMatrix",
@@ -38,11 +39,11 @@ _EXPORTS = {
         ("dynamics", (
             "EPS_SIMPLEX", "Trajectory", "DfPlan", "Converged", "MaxStepsReached",
             "VertexAbsorbed", "check_simplex", "vertex_index", "st_df_step",
-            "df_plan", "df_step", "simulate", "sink_power",
+            "fixed_point_residual", "df_plan", "df_step", "simulate", "sink_power",
         )),
         ("equilibria", (
-            "EquilibriumPrediction", "ComparisonReport", "fixed_point_residual",
-            "solve_interior_equilibrium", "predict_limit",
+            "EquilibriumPrediction", "ComparisonReport", "InteriorCheck",
+            "check_interior", "solve_interior_equilibrium", "predict_limit",
             "assemble_multisink_equilibrium", "compare_models", "regime_name",
         )),
         ("io", (

@@ -31,7 +31,6 @@ from .defaults import (
     DEFAULT_MAX_STEPS,
     EPS_CONV,
     EPS_EQUILIBRIUM,
-    EPS_TIE,
     MODELS,
     SINGLE_TIMESCALE,
 )
@@ -43,12 +42,7 @@ from .errors import (
     ParseError,
     PowerflowError,
 )
-from .netcore import (
-    Irreducible,
-    ReducibleReachable,
-    RelativeInteractionMatrix,
-    classify,
-)
+from .netcore import RelativeInteractionMatrix, classify, single_sink
 from .spectral import centrality_profile
 
 # The dynamics and equilibria modules load only in the commands that run
@@ -155,39 +149,37 @@ def _resolve_x0(spec: str, n: int) -> np.ndarray:
     )
 
 
-def _print_structure(C: RelativeInteractionMatrix, structure) -> None:
+def cmd_classify(args) -> int:
+    C = _load_network(args)
+    structure = classify(C)
     profile = centrality_profile(C, structure)
     print(f"nodes: {C.n}")
-    if isinstance(structure, Irreducible):
-        print("structure: irreducible")
-        if structure.star_center is not None:
-            print(f"star center: {structure.star_center}")
-        if structure.degenerate_pair:
-            print("note: two-node network, every interior point is fixed")
-        print(f"centrality: {_fmt_vec(profile.global_c)}")
-    elif isinstance(structure, ReducibleReachable):
-        print(f"structure: reducible, globally reachable set of size {structure.r}")
-        print(f"reachable set: {_node_set(structure.reachable)}")
-        outside = sorted(set(range(1, C.n + 1)) - set(structure.reachable))
-        print(f"outside reachable set: {_node_set(outside)}")
-        if structure.star_center_of_subgraph is not None:
-            print(f"star center of reachable subgraph: {structure.star_center_of_subgraph}")
-        print(f"centrality: {_fmt_vec(profile.global_c)}")
-    else:
+    sink = single_sink(structure)
+    if sink is None:
         print(f"structure: multi-sink, K={structure.num_sinks} sinks")
-        for k, sink in enumerate(structure.sinks, start=1):
-            print(f"sink {k}: {_node_set(sink)} (size {len(sink)})")
+        for k, nodes in enumerate(structure.sinks, start=1):
+            print(f"sink {k}: {_node_set(nodes)} (size {len(nodes)})")
         print(
             f"non-sink nodes: {_node_set(structure.non_sink_nodes)} "
             f"(m={structure.m})"
         )
         for k, c_k in enumerate(profile.per_sink, start=1):
             print(f"sink {k} centrality: {_fmt_vec(c_k)}")
-
-
-def cmd_classify(args) -> int:
-    C = _load_network(args)
-    _print_structure(C, classify(C))
+        return 0
+    if sink.whole:
+        print("structure: irreducible")
+    else:
+        reachable = (sink.index + 1).tolist()
+        print(f"structure: reducible, globally reachable set of size {len(reachable)}")
+        print(f"reachable set: {_node_set(reachable)}")
+        outside = sorted(set(range(1, C.n + 1)) - set(reachable))
+        print(f"outside reachable set: {_node_set(outside)}")
+    if sink.center is not None:
+        label = "star center" if sink.whole else "star center of reachable subgraph"
+        print(f"{label}: {sink.center}")
+    if sink.whole and sink.index.size == 2:
+        print("note: two-node network, every interior point is fixed")
+    print(f"centrality: {_fmt_vec(profile.global_c)}")
     return 0
 
 
@@ -207,8 +199,7 @@ def cmd_centrality(args) -> int:
 
 
 def _print_summary(C, structure, trajectory) -> None:
-    from .dynamics import Converged, VertexAbsorbed
-    from .equilibria import fixed_point_residual
+    from .dynamics import Converged, VertexAbsorbed, fixed_point_residual
 
     status = trajectory.status
     if isinstance(status, Converged):
@@ -253,6 +244,7 @@ def cmd_equilibrium(args) -> int:
         KIND_TWO_NODE_FAMILY,
         KIND_UNIQUE_INTERIOR,
         assemble_multisink_equilibrium,
+        check_interior,
         fixed_point_residual,
         predict_limit,
         regime_name,
@@ -260,7 +252,8 @@ def cmd_equilibrium(args) -> int:
 
     C = _load_network(args)
     structure = classify(C)
-    if args.zeta is not None and len(structure.sink_index) == 1:
+    sink = single_sink(structure)
+    if args.zeta is not None and sink is not None:
         raise InvalidInitialError(
             "--zeta applies only to multi-sink networks; this network has one sink"
         )
@@ -285,7 +278,7 @@ def cmd_equilibrium(args) -> int:
     print("fixed points: every autocratic vertex e_i")
     # the uniform start is no vertex for n >= 2, so the structure alone decides
     prediction = predict_limit(C, structure, profile, np.full(C.n, 1.0 / C.n), args.tol)
-    if prediction.kind == KIND_TWO_NODE_FAMILY and len(prediction.support) == C.n:
+    if prediction.kind == KIND_TWO_NODE_FAMILY and sink.whole:
         print("interior equilibria: every interior point (two-node network)")
     elif prediction.kind == KIND_TWO_NODE_FAMILY:
         a, b = prediction.support
@@ -296,14 +289,11 @@ def cmd_equilibrium(args) -> int:
     elif prediction.kind == KIND_STAR_AUTOCRAT:
         print(f"autocrat at node {prediction.center}; interior equilibria: none")
     elif prediction.kind == KIND_UNIQUE_INTERIOR:
-        x_star = prediction.x_star
-        x_sink = x_star[np.asarray(prediction.support) - 1]
-        c = profile.per_sink[0]
-        alpha = float(np.mean(x_sink * (1.0 - x_sink) / c))
-        print(f"interior equilibrium: {_fmt_vec(x_star)}")
-        print(f"alpha: {_fmt(alpha)}")
-        print(f"residual: {_fmt(fixed_point_residual(C, x_star))}")
-        print(f"ordering check: {'PASS' if _ordering_consistent(x_sink, c) else 'FAIL'}")
+        check = check_interior(C, prediction.x_star, sink.index, profile.per_sink[0])
+        print(f"interior equilibrium: {_fmt_vec(prediction.x_star)}")
+        print(f"alpha: {_fmt(check.alpha)}")
+        print(f"residual: {_fmt(check.residual)}")
+        print(f"ordering check: {'PASS' if check.ordering_consistent else 'FAIL'}")
     elif args.zeta is None:
         # multi-sink: family unless the split is given
         print(
@@ -315,29 +305,6 @@ def cmd_equilibrium(args) -> int:
     else:
         print(*assembled, sep="\n")
     return 0
-
-
-#: pairs compared per block by the ordering check
-_PAIR_BLOCK = 1 << 14
-
-
-def _ordering_consistent(x_star, c, eps_tie: float = EPS_TIE) -> bool:
-    """True when, over all pairs (i, j), a higher score c_i > c_j + eps_tie
-    gives a higher power x_i > x_j and tied scores give powers within
-    10 * eps_tie."""
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x_star, dtype=float)
-    c_above = c + eps_tie
-    # the pair tables a block of rows at a time: O(n) memory, not O(n^2)
-    rows = max(1, _PAIR_BLOCK // max(c.size, 1))
-    for start in range(0, c.size, rows):
-        c_i = c[start:start + rows, None]
-        x_i = x[start:start + rows, None]
-        inverted = (c_i > c_above) & (x_i <= x)
-        split_tie = (np.abs(c_i - c) < eps_tie) & (np.abs(x_i - x) > 10 * eps_tie)
-        if inverted.any() or split_tie.any():
-            return False
-    return True
 
 
 def cmd_compare(args) -> int:

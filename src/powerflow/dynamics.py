@@ -112,6 +112,12 @@ def st_df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
     return out
 
 
+def fixed_point_residual(C: RelativeInteractionMatrix, x) -> float:
+    """Max-norm distance between x and its single-timescale update."""
+    x = np.asarray(x, dtype=float)
+    return float(np.max(np.abs(st_df_step(C, x) - x)))
+
+
 def _st_steps(CT: np.ndarray, states, sq: np.ndarray, appraisal: np.ndarray) -> None:
     """The st kernel: write CT (x - x^2) + x^2 of each vector x in
     `states` into the next one, with `sq` and `appraisal` as scratch.

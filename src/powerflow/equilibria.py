@@ -12,9 +12,10 @@ condition is a concave function of s with a single sign change.
 :func:`predict_limit` dispatches on the classified network structure;
 :func:`assemble_multisink_equilibrium` materializes the equilibrium of a
 multi-sink network from a given split of power among the sinks, with that
-one solver for every sink of two or more nodes (a two-node sink holding all
-power is the family (a, 1-a), whose member `alpha` picks);
-:func:`compare_models` runs both update rules from one initial state.
+one solver for every sink of two or more nodes (holding all power, a star
+sink is its centre's vertex and a two-node sink the family (a, 1-a));
+:func:`check_interior` checks a solved interior point; :func:`compare_models`
+runs both update rules from one initial state.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .defaults import (
     DEFAULT_MAX_STEPS,
     EPS_CONV,
     EPS_EQUILIBRIUM,
+    EPS_TIE,
     ORIGINAL_DF,
     SINGLE_TIMESCALE,
 )
@@ -36,8 +38,8 @@ from .dynamics import (
     EPS_SIMPLEX,
     Trajectory,
     check_simplex,
+    fixed_point_residual,
     simulate,
-    st_df_step,
     vertex_index,
 )
 from .errors import (
@@ -48,23 +50,16 @@ from .errors import (
     StructureMismatchError,
 )
 from .netcore import (
-    Irreducible,
     MultiSink,
     NetworkStructure,
-    ReducibleReachable,
     RelativeInteractionMatrix,
     classify,
+    single_sink,
 )
 from .spectral import CentralityProfile
 
 # Boundary of the regime where the interior point degenerates into a vertex.
 _CENTER_DOMINANT_MARGIN = 1e-12
-
-
-def fixed_point_residual(C: RelativeInteractionMatrix, x) -> float:
-    """Max-norm distance between x and its single-timescale update."""
-    x = np.asarray(x, dtype=float)
-    return float(np.max(np.abs(st_df_step(C, x) - x)))
 
 
 def solve_interior_equilibrium(
@@ -266,28 +261,26 @@ def predict_limit(
             provenance="autocratic start: every vertex is a fixed point",
             vertex=v,
         )
-    if isinstance(structure, MultiSink):
+    sink = single_sink(structure)
+    if sink is None:
         return EquilibriumPrediction(
             kind=KIND_MULTI_SINK_FAMILY,
             provenance="multiple sinks: any split of power among the sinks can "
             "be an equilibrium; the realized split comes from simulation",
-            support=tuple(v for sink in structure.sinks for v in sink),
+            support=tuple(v for nodes in structure.sinks for v in nodes),
         )
-    (sink,) = structure.sink_index
-    whole = sink.size == structure.n
-    pair_note, star_note, interior_note = _SINGLE_SINK_NOTES[whole]
-    support = tuple((sink + 1).tolist())
-    if sink.size == 2:
+    pair_note, star_note, interior_note = _SINGLE_SINK_NOTES[sink.whole]
+    support = tuple((sink.index + 1).tolist())
+    if sink.index.size == 2:
         return EquilibriumPrediction(
             kind=KIND_TWO_NODE_FAMILY, provenance=pair_note, support=support
         )
-    center = structure.star_center if whole else structure.star_center_of_subgraph
-    if center is not None:
+    if sink.center is not None:
         return EquilibriumPrediction(
-            kind=KIND_STAR_AUTOCRAT, provenance=star_note, center=center
+            kind=KIND_STAR_AUTOCRAT, provenance=star_note, center=sink.center
         )
     x_star = np.zeros(structure.n)
-    x_star[sink] = solve_interior_equilibrium(profile.per_sink[0], 1.0, eps)
+    x_star[sink.index] = solve_interior_equilibrium(profile.per_sink[0], 1.0, eps)
     return EquilibriumPrediction(
         kind=KIND_UNIQUE_INTERIOR, provenance=interior_note, x_star=x_star, support=support
     )
@@ -306,9 +299,10 @@ def assemble_multisink_equilibrium(
     one-node sink its total.  Every sink of two or more nodes is solved by
     :func:`solve_interior_equilibrium` from its centrality scores with the
     sink total as mass; a two-node sink (scores (1/2, 1/2)) thus gets the
-    even split.  A two-node sink holding all power has the equilibrium
-    family (a, 1-a) instead, and `alpha` picks the member
-    (FamilyParameterRequiredError without it).
+    even split.  Holding all power, a star sink gets its centre's vertex
+    and a two-node sink the family (a, 1-a), whose member `alpha` picks
+    (FamilyParameterRequiredError without it).  Each total must lie in
+    [0, 1], their sum within 1e-9 of 1.
     """
     if not isinstance(structure, MultiSink):
         raise StructureMismatchError(
@@ -321,8 +315,9 @@ def assemble_multisink_equilibrium(
             f"expected {structure.num_sinks} sink totals, got {zeta.size}"
         )
     # written to fail on NaN totals too
-    if not (np.all(zeta >= 0.0) and abs(float(zeta.sum()) - 1.0) <= 1e-9):
-        raise ValueError("sink totals must be non-negative and sum to 1")
+    in_range = np.all((zeta >= 0.0) & (zeta <= 1.0))
+    if not (in_range and abs(float(zeta.sum()) - 1.0) <= 1e-9):
+        raise ValueError("sink totals must lie in [0, 1] and sum to 1")
     x = np.zeros(structure.n)
     for k, idx in enumerate(structure.sink_index):
         total = float(zeta[k])
@@ -336,7 +331,9 @@ def assemble_multisink_equilibrium(
             continue
         except CenterDominantError:
             if idx.size != 2:
-                raise
+                # a star sink holding all power: the centre's vertex
+                x[idx[np.argmax(profile.per_sink[k])]] = total
+                continue
         # a two-node sink holding all power: the family (a, 1-a)
         if alpha is None:
             raise FamilyParameterRequiredError(
@@ -351,19 +348,58 @@ def assemble_multisink_equilibrium(
 
 def regime_name(structure: NetworkStructure) -> str:
     """Short label of the structural regime a network falls into."""
-    if isinstance(structure, Irreducible):
-        if structure.degenerate_pair:
-            return "irreducible-pair"
-        if structure.star_center is not None:
-            return f"irreducible-star(center={structure.star_center})"
-        return "irreducible"
-    if isinstance(structure, ReducibleReachable):
-        if structure.r == 2:
-            return "reachable-pair"
-        if structure.star_center_of_subgraph is not None:
-            return f"reachable-star(center={structure.star_center_of_subgraph})"
-        return f"reachable(r={structure.r})"
-    return f"multi-sink(K={structure.num_sinks})"
+    sink = single_sink(structure)
+    if sink is None:
+        return f"multi-sink(K={structure.num_sinks})"
+    prefix = "irreducible" if sink.whole else "reachable"
+    if sink.index.size == 2:
+        return f"{prefix}-pair"
+    if sink.center is not None:
+        return f"{prefix}-star(center={sink.center})"
+    return prefix if sink.whole else f"{prefix}(r={sink.index.size})"
+
+
+@dataclass(frozen=True)
+class InteriorCheck:
+    """Checks of an interior equilibrium on one sink: `alpha`, the mean of
+    x_i (1 - x_i) / c_i there, its fixed-point `residual` and the ordering check."""
+
+    alpha: float
+    residual: float
+    ordering_consistent: bool
+
+
+def check_interior(C: RelativeInteractionMatrix, x_star, sink, c) -> InteriorCheck:
+    """Check `x_star` against the scores `c` of the sink with 0-based indices `sink`."""
+    x_sink = x_star[sink]
+    return InteriorCheck(
+        float(np.mean(x_sink * (1.0 - x_sink) / c)),
+        fixed_point_residual(C, x_star),
+        _ordering_consistent(x_sink, c),
+    )
+
+
+#: pairs compared per block by the ordering check
+_PAIR_BLOCK = 1 << 14
+
+
+def _ordering_consistent(x_star, c, eps_tie: float = EPS_TIE) -> bool:
+    """True when, over all pairs (i, j), a higher score c_i > c_j + eps_tie
+    gives a higher power x_i > x_j and tied scores give powers within
+    10 * eps_tie."""
+    c = np.asarray(c, dtype=float)
+    x = np.asarray(x_star, dtype=float)
+    c_above = c + eps_tie
+    # the pair tables a block of rows at a time: O(n) memory, not O(n^2)
+    rows = max(1, _PAIR_BLOCK // max(c.size, 1))
+    for start in range(0, c.size, rows):
+        c_i = c[start:start + rows, None]
+        x_i = x[start:start + rows, None]
+        inverted = (c_i > c_above) & (x_i <= x)
+        split_tie = (np.abs(c_i - c) < eps_tie) & (np.abs(x_i - x) > 10 * eps_tie)
+        if inverted.any() or split_tie.any():
+            return False
+    return True
 
 
 @dataclass(frozen=True)

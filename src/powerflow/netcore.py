@@ -7,7 +7,8 @@ induced by its positive entries, so this module owns the validation gate,
 the strongly-connected-component machinery, and the classifier that splits
 a network into one of three variants: irreducible, reducible with a
 globally reachable node set, or multi-sink.  Each variant carries its
-closed classes as `sink_index`, for the other modules to read.
+closed classes as `sink_index`, for the other modules to read, and
+:func:`single_sink` describes the one closed class of the first two.
 :func:`classify` reads the positive pattern once, for the component
 search, and its star test reads one row plus a row and a column per
 candidate centre, so its cost is that of the pattern pass and Tarjan's
@@ -19,7 +20,7 @@ All node identifiers on public surfaces are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -370,3 +371,22 @@ def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
     non_sink = tuple(v for v in range(1, C.n + 1) if v not in in_sink)
     permutation = tuple(v for comp in sinks for v in comp) + non_sink
     return MultiSink(C.n, sinks, non_sink, permutation)
+
+
+class SingleSink(NamedTuple):
+    """The one closed class of a single-sink structure: its `sink_index`
+    entry, whether it spans the network, and its star centre or None."""
+
+    index: np.ndarray
+    whole: bool
+    center: Optional[int]
+
+
+def single_sink(structure: NetworkStructure) -> Optional[SingleSink]:
+    """The closed class of a structure that has one, else None."""
+    if len(structure.sink_index) != 1:
+        return None
+    (index,) = structure.sink_index
+    whole = index.size == structure.n
+    center = structure.star_center if whole else structure.star_center_of_subgraph
+    return SingleSink(index, whole, center)

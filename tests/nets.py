@@ -51,6 +51,20 @@ def two_sink_six():
     return validate_matrix(entries)
 
 
+# sinks {1,2,3,4}, a star centred on 1, and the swap {5,6}; node 7 asks 1 and 5
+STAR_SINK_ADJACENCY = "1: 2 3 4\n2: 1\n3: 1\n4: 1\n5: 6\n6: 5\n7: 1 5\n"
+
+
+def star_sink_seven():
+    """The network of STAR_SINK_ADJACENCY as a matrix."""
+    entries = np.zeros((7, 7))
+    entries[0, 1:4] = 1.0 / 3.0
+    entries[1:4, 0] = 1.0
+    entries[4, 5] = entries[5, 4] = 1.0
+    entries[6, [0, 4]] = 0.5
+    return validate_matrix(entries)
+
+
 def transient_cycle_six():
     """Sinks {1,2} and {3,4}; transient nodes 5 and 6 point at each other and
     leak into the sinks, so their decay is plain exponential (not squaring)."""

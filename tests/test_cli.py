@@ -1,7 +1,8 @@
 import numpy as np
 
 import powerflow as pf
-from powerflow.cli import _ordering_consistent, main
+from powerflow.cli import main
+from powerflow.equilibria import _ordering_consistent
 
 import nets
 

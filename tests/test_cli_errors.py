@@ -36,8 +36,8 @@ def two_sink_file(tmp_path):
     [
         ("a,b", "could not convert string to float: 'a'"),
         ("0.5", "expected 2 sink totals, got 1"),
-        ("0.7,0.7", "sink totals must be non-negative and sum to 1"),
-        ("nan,1", "sink totals must be non-negative and sum to 1"),
+        ("0.7,0.7", "sink totals must lie in [0, 1] and sum to 1"),
+        ("nan,1", "sink totals must lie in [0, 1] and sum to 1"),
     ],
     ids=["unparsable", "wrong-count", "bad-sum", "nan"],
 )
@@ -179,11 +179,26 @@ def test_tolerance_with_minus_and_exponent_reaches_the_range_message(
     )
 
 
+def test_zeta_tolerance_on_a_star_sink(tmp_path, capsys):
+    # a total above 1 fails the split's own range check; one just below
+    # 1 beside a tiny total is a valid split
+    path = tmp_path / "star_sink.txt"
+    path.write_text(nets.STAR_SINK_ADJACENCY)
+    assert main(["equilibrium", "--network", str(path), "--zeta", "1.0000000001,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bad zeta spec '1.0000000001,0': sink totals must lie in [0, 1] and sum to 1\n"
+    )
+    assert main(["equilibrium", "--network", str(path), "--zeta", "0.9999999999,1e-10"]) == 0
+    assert "sink power: [0.9999999999, 1e-10]" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("spelling", ["separate", "joined"])
 @pytest.mark.parametrize("zeta", ["-1e-3,1", "-.5,1.5"])
 def test_zeta_with_minus_reaches_the_range_message(two_sink_file, zeta, spelling, capsys):
     option = ["--zeta", zeta] if spelling == "separate" else [f"--zeta={zeta}"]
     assert main(["equilibrium", "--network", two_sink_file, *option]) == 2
     assert capsys.readouterr().err == (
-        f"error: bad zeta spec {zeta!r}: sink totals must be non-negative and sum to 1\n"
+        f"error: bad zeta spec {zeta!r}: sink totals must lie in [0, 1] and sum to 1\n"
     )

@@ -451,6 +451,12 @@ class TestAssembleMultisink:
         assert x[5] == 0.0
         assert pf.fixed_point_residual(C, x) < 1e-11
 
+    def test_star_sink_full_mass_is_the_centre_vertex(self):
+        C, structure, profile = self._setup(nets.star_sink_seven)
+        x = pf.assemble_multisink_equilibrium(structure, profile, [1.0, 0.0])
+        assert x.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert pf.fixed_point_residual(C, x) == 0.0
+
     def test_uniform_three_node_sink(self):
         # sinks {1,2} and the ring {3,4,5}: uniform centrality in sink 2
         entries = np.zeros((6, 6))
@@ -482,6 +488,12 @@ class TestAssembleMultisink:
         _, structure, profile = self._setup(nets.two_sink_five)
         with pytest.raises(ValueError):
             pf.assemble_multisink_equilibrium(structure, profile, [0.7, 0.7])
+
+    def test_rejects_a_total_above_one(self):
+        # within 1e-9 of the unit sum, but above the largest sink mass
+        _, structure, profile = self._setup(nets.star_sink_seven)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            pf.assemble_multisink_equilibrium(structure, profile, [1.0000000001, 0.0])
 
 
 class TestCompareModels:

@@ -48,6 +48,17 @@ def test_read_commands_load_no_solver_module(command):
     assert "powerflow.equilibria" not in loaded
 
 
+def test_simulate_command_loads_no_equilibria_module():
+    code = (
+        "import contextlib, io, powerflow.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert powerflow.cli.main(['simulate', '--builder', 'star:5', '--max-steps', '5']) == 0"
+    )
+    loaded = loaded_modules_after(code)
+    assert "powerflow.dynamics" in loaded
+    assert "powerflow.equilibria" not in loaded
+
+
 def test_equilibrium_command_loads_the_solvers():
     code = (
         "import contextlib, io, powerflow.cli\n"

@@ -1,6 +1,7 @@
 """One table of the seven structural regimes, checked through the library
-(`classify`, `centrality_profile`, `predict_limit`) and the `equilibrium`
-command, plus the closed classes every structure carries as `sink_index`."""
+(`classify`, `centrality_profile`, `predict_limit`) and the `classify` and
+`equilibrium` commands, plus the closed classes every structure carries as
+`sink_index`."""
 
 import dataclasses
 
@@ -47,6 +48,8 @@ class Regime:
     # the stdout of `powerflow equilibrium`; RESIDUAL stands for the line
     # rendering fixed_point_residual of the predicted point
     lines: list
+    # the stdout of `powerflow classify`
+    classify: list
 
 
 REGIMES = [
@@ -55,12 +58,17 @@ REGIMES = [
         "two-member group: every interior point is fixed", None, (1, 2),
         ["regime: irreducible-pair",
          "interior equilibria: every interior point (two-node network)"],
+        classify=["nodes: 2", "structure: irreducible",
+                  "note: two-node network, every interior point is fixed",
+                  "centrality: [0.5, 0.5]"],
     ),
     Regime(
         "irreducible-star", nets.STAR3, "star_autocrat",
         "star pattern: power concentrates on the center", 1, None,
         ["regime: irreducible-star(center=1)",
          "autocrat at node 1; interior equilibria: none"],
+        classify=["nodes: 3", "structure: irreducible", "star center: 1",
+                  "centrality: [0.5, 0.25, 0.25]"],
     ),
     Regime(
         "irreducible-interior", nets.THREE_NODE, "unique_interior",
@@ -68,6 +76,8 @@ REGIMES = [
         ["regime: irreducible",
          "interior equilibrium: [0.652173913043, 0.217391304348, 0.130434782609]",
          *INTERIOR_LINES],
+        classify=["nodes: 3", "structure: irreducible",
+                  "centrality: [0.444444444444, 0.333333333333, 0.222222222222]"],
     ),
     Regime(
         "reachable-pair", nets.REACHABLE_PAIR, "two_node_family",
@@ -76,12 +86,20 @@ REGIMES = [
         ["regime: reachable-pair",
          "equilibrium family: (alpha, 1-alpha) on nodes 1, 2, zero elsewhere; "
          "alpha depends on the trajectory"],
+        classify=["nodes: 3", "structure: reducible, globally reachable set of size 2",
+                  "reachable set: {1, 2}", "outside reachable set: {3}",
+                  "centrality: [0.5, 0.5, 0]"],
     ),
     Regime(
         "reachable-star", nets.reducible_star_ten().entries, "star_autocrat",
         "star pattern on the reachable set: power concentrates on its center", 1, None,
         ["regime: reachable-star(center=1)",
          "autocrat at node 1; interior equilibria: none"],
+        classify=["nodes: 10", "structure: reducible, globally reachable set of size 9",
+                  "reachable set: {1, 2, 3, 4, 5, 6, 7, 8, 9}",
+                  "outside reachable set: {10}",
+                  "star center of reachable subgraph: 1",
+                  "centrality: [0.5" + ", 0.0625" * 8 + ", 0]"],
     ),
     Regime(
         "reachable-interior", REACHABLE_INTERIOR, "unique_interior",
@@ -89,6 +107,9 @@ REGIMES = [
         ["regime: reachable(r=3)",
          "interior equilibrium: [0, 0.652173913043, 0.217391304348, 0.130434782609]",
          *INTERIOR_LINES],
+        classify=["nodes: 4", "structure: reducible, globally reachable set of size 3",
+                  "reachable set: {2, 3, 4}", "outside reachable set: {1}",
+                  "centrality: [0, 0.444444444444, 0.333333333333, 0.222222222222]"],
     ),
     Regime(
         "multi-sink", nets.two_sink_six().entries, "multi_sink_family",
@@ -100,6 +121,10 @@ REGIMES = [
          "sinks; pass --zeta to assemble one",
          "sink 1 centrality: [0.5, 0.5]",
          "sink 2 centrality: [0.444444444444, 0.333333333333, 0.222222222222]"],
+        classify=["nodes: 6", "structure: multi-sink, K=2 sinks",
+                  "sink 1: {1, 2} (size 2)", "sink 2: {3, 4, 5} (size 3)",
+                  "non-sink nodes: {6} (m=1)", "sink 1 centrality: [0.5, 0.5]",
+                  "sink 2 centrality: [0.444444444444, 0.333333333333, 0.222222222222]"],
     ),
 ]
 
@@ -170,6 +195,16 @@ def test_equilibrium_command_stdout(regime, capsys, tmp_path):
     assert equilibrium_stdout(capsys, path) == expected
 
 
+@pytest.mark.parametrize("regime", REGIMES, ids=IDS)
+def test_classify_command_stdout(regime, capsys, tmp_path):
+    path = tmp_path / "net.txt"
+    pf.write_matrix(pf.validate_matrix(regime.matrix), path)
+    assert main(["classify", "--network", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == regime.classify
+
+
 def multi_sink_file(tmp_path):
     path = tmp_path / "two_sink_six.txt"
     pf.write_matrix(nets.two_sink_six(), path)
@@ -204,14 +239,29 @@ def test_equilibrium_zeta_assembles_a_member(capsys, tmp_path):
     ]
 
 
+def test_equilibrium_zeta_all_power_on_a_star_sink(capsys, tmp_path):
+    # sink 1 is a star centred on node 1: its vertex is the equilibrium
+    path = tmp_path / "star_sink.txt"
+    path.write_text(nets.STAR_SINK_ADJACENCY)
+    lines = equilibrium_stdout(capsys, path, "--zeta", "1,0")
+    assert lines == [
+        "regime: multi-sink(K=2)",
+        "fixed points: every autocratic vertex e_i",
+        "sink power: [1, 0]",
+        "assembled equilibrium: [1, 0, 0, 0, 0, 0, 0]",
+        "residual: 0",
+    ]
+
+
 # --------------------------------------------------------------- sink_index
 
 
 def structures():
-    return [
-        pf.classify(pf.validate_matrix(m))
-        for m in (TWO_NODE, nets.THREE_NODE, REACHABLE_INTERIOR, nets.REACHABLE_PAIR)
-    ] + [pf.classify(nets.two_sink_six()), pf.classify(nets.transient_cycle_six())]
+    matrices = (TWO_NODE, nets.THREE_NODE, REACHABLE_INTERIOR, nets.REACHABLE_PAIR, nets.STAR3)
+    return [pf.classify(pf.validate_matrix(m)) for m in matrices] + [
+        pf.classify(C)
+        for C in (nets.two_sink_six(), nets.transient_cycle_six(), nets.reducible_star_ten())
+    ]
 
 
 @pytest.mark.parametrize("structure", structures(), ids=lambda s: pf.regime_name(s))
@@ -239,6 +289,20 @@ def test_sink_index_outside_equality_and_repr(structure):
     assert "sink_index" not in repr(structure)
     field = {f.name: f for f in dataclasses.fields(structure)}["sink_index"]
     assert not field.init and not field.compare and not field.repr
+
+
+@pytest.mark.parametrize("structure", structures(), ids=lambda s: pf.regime_name(s))
+def test_single_sink_reads_the_one_closed_class(structure):
+    sink = pf.single_sink(structure)
+    if isinstance(structure, pf.MultiSink):
+        assert sink is None
+        return
+    assert sink.index is structure.sink_index[0]
+    assert sink.whole == isinstance(structure, pf.Irreducible)
+    if sink.whole:
+        assert sink.center == structure.star_center
+    else:
+        assert sink.center == structure.star_center_of_subgraph
 
 
 def test_sink_index_matches_the_condensation_sinks():
