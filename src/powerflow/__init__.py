@@ -37,9 +37,9 @@ _EXPORTS = {
             "dominant_left_eigenvector", "centrality_profile", "influence_matrix",
         )),
         ("dynamics", (
-            "EPS_SIMPLEX", "Trajectory", "DfPlan", "Converged", "MaxStepsReached",
+            "EPS_SIMPLEX", "Trajectory", "Converged", "MaxStepsReached",
             "VertexAbsorbed", "check_simplex", "vertex_index", "st_df_step",
-            "fixed_point_residual", "df_plan", "df_step", "simulate", "sink_power",
+            "fixed_point_residual", "df_step", "simulate", "sink_power",
         )),
         ("equilibria", (
             "EquilibriumPrediction", "ComparisonReport", "InteriorCheck",

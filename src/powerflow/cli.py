@@ -105,7 +105,10 @@ def _load_network(args) -> RelativeInteractionMatrix:
     if (args.network is None) == (args.builder is None):
         raise InvalidInitialError("pass exactly one of --network or --builder")
     if args.network is not None:
-        return netio.load_network(args.network)
+        try:
+            return netio.load_network(args.network)
+        except OSError as exc:
+            raise InvalidInitialError(f"cannot read network file: {exc}") from exc
     spec = args.builder
     parts = spec.split(":")
     kind = parts[0]

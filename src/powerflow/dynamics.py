@@ -15,8 +15,9 @@ Two update rules act on a self-weight vector x in the unit simplex:
   centrality of the group in C (Jia, Mirtabatabaei, Friedkin & Bullo,
   SIAM Review 57(3), 2015), and the groups, their weights and their
   centralities do not depend on x except through its exact vertex
-  coordinates.  :func:`df_plan` computes them once per run, so a step
-  costs O(n) with no eigenproblem and no SCC pass.
+  coordinates.  A plan built from the classified structure holds them, once
+  per run and again when those coordinates change, so a step costs O(n)
+  with no eigenproblem and no SCC pass.
 
 :func:`simulate` iterates either rule with convergence detection, vertex
 absorption, per-step deltas, a conservation monitor, and per-sink power
@@ -39,15 +40,13 @@ import numpy as np
 
 from .defaults import DEFAULT_MAX_STEPS, EPS_CONV, MODELS, ORIGINAL_DF, SINGLE_TIMESCALE
 from .errors import InvalidInitialError, MassDriftError, StructureMismatchError
-from .netcore import (
-    MultiSink,
-    NetworkStructure,
-    RelativeInteractionMatrix,
-    _condensation,
-    _sink_index,
-    classify,
-)
-from .spectral import EPS_SPECTRAL, dominant_left_eigenvector, influence_matrix
+from .netcore import MultiSink, NetworkStructure, RelativeInteractionMatrix, classify
+from .spectral import dominant_left_eigenvector
+
+# Not called here: perfbench's tracer wraps these two names on this module,
+# and a test counts the calls of _condensation through it.
+from .netcore import _condensation  # noqa: F401
+from .spectral import influence_matrix  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +135,7 @@ def _st_steps(CT: np.ndarray, states, sq: np.ndarray, appraisal: np.ndarray) -> 
 
 
 @dataclass(frozen=True)
-class DfPlan:
+class _DfPlan:
     """The x-independent part of the df step for every state x whose set
     of exact vertex coordinates (x_i >= 1) is `absorbing`.
 
@@ -161,31 +160,31 @@ def _absorbing(x: np.ndarray) -> tuple[int, ...]:
     return tuple((x >= 1.0).nonzero()[0].tolist())
 
 
-def df_plan(
+def _df_plan(
     C: RelativeInteractionMatrix,
-    absorbing: tuple[int, ...] = (),
-    structure: Optional[NetworkStructure] = None,
-    eps_spectral: float = EPS_SPECTRAL,
-) -> DfPlan:
-    """Set up :func:`df_step` for the states whose exact vertex coordinates
-    are `absorbing` (0-based; empty for every state with all x_i < 1).
+    structure: NetworkStructure,
+    absorbing: tuple[int, ...],
+) -> _DfPlan:
+    """Set up the df step for the states whose exact vertex coordinates are
+    `absorbing` (0-based; empty for every state with all x_i < 1), from C's
+    classified `structure`.
 
-    With no absorbing coordinate W(x) has C's off-diagonal pattern, so its
-    closed classes are C's sinks, `structure.sink_index` when given.  Each
-    absorbing coordinate turns its row of W(x) into e_i; the classes then
-    come from the condensation of that pattern.  Transient rows satisfy
-    I - W_MM = (I - D_M)(I - C_MM) and W_Ms = (I - D_M) C_Ms, so the mass a
-    closed class s absorbs from the uniform start, 1/n per node, is
-    |s| / n + y C_Ms 1 with (I - C_MM^T) y = 1/n: independent of x.
+    The closed classes of W(x) are the singletons {a}, a in `absorbing`, and
+    the closed classes of C (`structure.sink_index`) that hold no absorbing
+    node.  Row a of W(x) is e_a and every other row has C's off-diagonal
+    pattern, so a closed class of W(x) that avoids the absorbing set is
+    closed in C, and a closed class of C that holds some a drains into it.
+    Transient rows satisfy I - W_MM = (I - D_M)(I - C_MM) and
+    W_Ms = (I - D_M) C_Ms, so the mass a closed class s absorbs from the
+    uniform start, 1/n per node, is |s| / n + y C_Ms 1 with
+    (I - C_MM^T) y = 1/n: independent of x.
     """
-    if absorbing or structure is None:
-        # W(indicator of the absorbing set) has the pattern of every such W(x)
-        indicator = np.zeros(C.n)
-        indicator[list(absorbing)] = 1.0
-        condensation = _condensation(influence_matrix(C, indicator).entries)
-        classes = _sink_index(condensation.components[k] for k in condensation.sinks)
-    else:
-        classes = structure.sink_index
+    classes = structure.sink_index
+    if absorbing:
+        held = set(absorbing)
+        classes = tuple(np.array([a]) for a in absorbing) + tuple(
+            s for s in classes if held.isdisjoint(s.tolist())
+        )
     n = C.n
     weights = np.array([s.size / n for s in classes])
     in_class = np.zeros(n, dtype=bool)
@@ -205,10 +204,10 @@ def df_plan(
     centralities = tuple(
         None
         if s.size == 1
-        else dominant_left_eigenvector(C.entries[s[:, None], s], eps_spectral)
+        else dominant_left_eigenvector(C.entries[s[:, None], s])
         for s in classes
     )
-    return DfPlan(
+    return _DfPlan(
         absorbing=tuple(absorbing),
         classes=classes,
         weights=tuple(float(w) for w in weights),
@@ -216,12 +215,7 @@ def df_plan(
     )
 
 
-def df_step(
-    C: RelativeInteractionMatrix,
-    x,
-    eps_spectral: float = EPS_SPECTRAL,
-    plan: Optional[DfPlan] = None,
-) -> np.ndarray:
+def df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
     """One DeGroot-Friedkin update: the power allocation implied by the
     long-run averaging limit of W(x).
 
@@ -230,20 +224,17 @@ def df_step(
     averaging absorbs into it.  Because v W_ss - v = [v (I - D_s)](C_ss - I),
     that split is c_i / (1 - x_i) normalised, with c the centrality of
     C_ss, so the step costs O(n) once the x-independent classes, weights
-    and centralities are known.  `plan` carries them (see :func:`df_plan`);
-    when it is omitted or was built for another set of exact vertex
-    coordinates, it is built here.
+    and centralities are known.  This call classifies C and works them out
+    for x's exact vertex coordinates; :func:`simulate` does so once per run
+    and again only when those coordinates change.
     """
     x = np.asarray(x, dtype=float)
-    absorbing = _absorbing(x)
-    if plan is None or plan.absorbing != absorbing:
-        plan = df_plan(C, absorbing, eps_spectral=eps_spectral)
     out = np.empty(x.size)
-    _df_step_into(plan, x, out)
+    _df_step_into(_df_plan(C, classify(C), _absorbing(x)), x, out)
     return out
 
 
-def _df_step_into(plan: DfPlan, x: np.ndarray, out: np.ndarray) -> None:
+def _df_step_into(plan: _DfPlan, x: np.ndarray, out: np.ndarray) -> None:
     """Write the df step of x into `out`; `plan` must be built for x's
     exact vertex coordinates, which this does not check."""
     out.fill(0.0)
@@ -256,7 +247,7 @@ def _df_step_into(plan: DfPlan, x: np.ndarray, out: np.ndarray) -> None:
     out /= np.add.reduce(out)
 
 
-def _steps_planned(plan: DfPlan, states: np.ndarray) -> int:
+def _steps_planned(plan: _DfPlan, states: np.ndarray) -> int:
     """Number of leading rows of `states` that have exactly the plan's
     exact vertex coordinates."""
     planned = np.zeros(states.shape[1], dtype=bool)
@@ -399,7 +390,6 @@ def simulate(
     max_steps: int = DEFAULT_MAX_STEPS,
     record_every: int = 1,
     eps_simplex: float = EPS_SIMPLEX,
-    eps_spectral: float = EPS_SPECTRAL,
     structure: Optional[NetworkStructure] = None,
 ) -> Trajectory:
     """Iterate the chosen update rule from x0 and record the trajectory.
@@ -467,7 +457,7 @@ def simulate(
         # a floating-point error of the st rule is a defect and warns
         errors = contextlib.nullcontext()
     else:
-        plan = df_plan(C, structure=structure, eps_spectral=eps_spectral)
+        plan = _df_plan(C, structure, ())
 
         def advance(states) -> None:
             # The plan fits states[0].  The block loop keeps the steps up to
@@ -475,7 +465,7 @@ def simulate(
             nonlocal plan
             absorbing = _absorbing(states[0])
             if absorbing != plan.absorbing:
-                plan = df_plan(C, absorbing, structure, eps_spectral)
+                plan = _df_plan(C, structure, absorbing)
             for prev, row in zip(states, states[1:]):
                 _df_step_into(plan, prev, row)
 

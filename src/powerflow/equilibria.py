@@ -35,7 +35,6 @@ from .defaults import (
     SINGLE_TIMESCALE,
 )
 from .dynamics import (
-    EPS_SIMPLEX,
     Trajectory,
     check_simplex,
     fixed_point_residual,
@@ -58,7 +57,7 @@ from .netcore import (
 )
 from .spectral import CentralityProfile
 
-# Boundary of the regime where the interior point degenerates into a vertex.
+# Slack of the star test c_top >= 1/2 and of a total mass above 1.
 _CENTER_DOMINANT_MARGIN = 1e-12
 
 
@@ -112,7 +111,7 @@ def solve_interior_equilibrium(
     family instead of a point and raises CenterDominantError, as does a
     dominant score c_top >= 1/2 with total_mass = 1 (the star regime, where
     the interior point degenerates into the center's vertex).  A mass up to
-    1e-12 above 1 counts as 1.
+    1e-12 above 1 counts as 1; any mass below 1 has its interior point.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size < 2:
@@ -128,7 +127,7 @@ def solve_interior_equilibrium(
         raise ValueError(f"total mass must lie in (0, 1], got {total_mass!r}")
     m = min(float(total_mass), 1.0)
     c_top = float(c.max())
-    if m >= 1.0 - _CENTER_DOMINANT_MARGIN:
+    if m >= 1.0:
         if c.size == 2:
             raise CenterDominantError(
                 "a two-member group holding all power has the equilibrium "
@@ -239,7 +238,6 @@ def predict_limit(
     profile: CentralityProfile,
     x0,
     eps: float = EPS_EQUILIBRIUM,
-    eps_simplex: float = EPS_SIMPLEX,
 ) -> EquilibriumPrediction:
     """Predict the limit of the single-timescale dynamics from x0.
 
@@ -248,13 +246,15 @@ def predict_limit(
     family predictions mark the regimes where the realized member depends
     on the transient and must come from simulation.
 
-    Past an autocratic start only the structure matters: several sinks give
-    the multi-sink family, and one sink (`structure.sink_index`, the whole
-    network or the reachable set) gives, by its size and star center, the
-    two-node family, the star or the interior point, zero off the sink.
+    `x0` must lie in the simplex within EPS_SIMPLEX, and a start within
+    EPS_SIMPLEX of a vertex is autocratic.  Past an autocratic start only
+    the structure matters: several sinks give the multi-sink family, and
+    one sink (`structure.sink_index`, the whole network or the reachable
+    set) gives, by its size and star center, the two-node family, the star
+    or the interior point, zero off the sink, solved to residual `eps`.
     """
-    x0 = check_simplex(x0, eps_simplex)
-    v = vertex_index(x0, eps_simplex)
+    x0 = check_simplex(x0)
+    v = vertex_index(x0)
     if v is not None:
         return EquilibriumPrediction(
             kind=KIND_VERTEX,
@@ -299,10 +299,10 @@ def assemble_multisink_equilibrium(
     one-node sink its total.  Every sink of two or more nodes is solved by
     :func:`solve_interior_equilibrium` from its centrality scores with the
     sink total as mass; a two-node sink (scores (1/2, 1/2)) thus gets the
-    even split.  Holding all power, a star sink gets its centre's vertex
-    and a two-node sink the family (a, 1-a), whose member `alpha` picks
-    (FamilyParameterRequiredError without it).  Each total must lie in
-    [0, 1], their sum within 1e-9 of 1.
+    even split.  Holding all power, a total of 1, a star sink gets its
+    centre's vertex and a two-node sink the family (a, 1-a), whose member
+    `alpha` picks (FamilyParameterRequiredError without it).  Each total
+    must lie in [0, 1], their sum within 1e-9 of 1.
     """
     if not isinstance(structure, MultiSink):
         raise StructureMismatchError(
@@ -383,20 +383,20 @@ def check_interior(C: RelativeInteractionMatrix, x_star, sink, c) -> InteriorChe
 _PAIR_BLOCK = 1 << 14
 
 
-def _ordering_consistent(x_star, c, eps_tie: float = EPS_TIE) -> bool:
-    """True when, over all pairs (i, j), a higher score c_i > c_j + eps_tie
+def _ordering_consistent(x_star, c) -> bool:
+    """True when, over all pairs (i, j), a higher score c_i > c_j + EPS_TIE
     gives a higher power x_i > x_j and tied scores give powers within
-    10 * eps_tie."""
+    10 * EPS_TIE."""
     c = np.asarray(c, dtype=float)
     x = np.asarray(x_star, dtype=float)
-    c_above = c + eps_tie
+    c_above = c + EPS_TIE
     # the pair tables a block of rows at a time: O(n) memory, not O(n^2)
     rows = max(1, _PAIR_BLOCK // max(c.size, 1))
     for start in range(0, c.size, rows):
         c_i = c[start:start + rows, None]
         x_i = x[start:start + rows, None]
         inverted = (c_i > c_above) & (x_i <= x)
-        split_tie = (np.abs(c_i - c) < eps_tie) & (np.abs(x_i - x) > 10 * eps_tie)
+        split_tie = (np.abs(c_i - c) < EPS_TIE) & (np.abs(x_i - x) > 10 * EPS_TIE)
         if inverted.any() or split_tie.any():
             return False
     return True

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import EmptyAdviceSetError, ParseError
 from .netcore import (
-    EPS_VALIDATION,
     RelativeInteractionMatrix,
     classify,
     Irreducible,
@@ -40,10 +39,19 @@ _CSV_CHUNK_VALUES = 1 << 16
 
 
 def _content_lines(path) -> list[tuple[int, str]]:
-    """(line_number, stripped_text) pairs, skipping blanks and # comments."""
+    """(line_number, stripped_text) pairs, skipping blanks and # comments.
+
+    Bytes that are not UTF-8 decode to lone surrogates, which cannot be
+    encoded again; the first line holding one raises ParseError.
+    """
     out = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(line_no, "not UTF-8 text") from None
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
@@ -51,7 +59,7 @@ def _content_lines(path) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_dense(lines: list[tuple[int, str]], eps: float) -> RelativeInteractionMatrix:
+def _parse_dense(lines: list[tuple[int, str]]) -> RelativeInteractionMatrix:
     if not lines:
         raise ParseError(0, "file holds no matrix rows")
     entries = None
@@ -71,7 +79,7 @@ def _parse_dense(lines: list[tuple[int, str]], eps: float) -> RelativeInteractio
                 line_no, f"expected {entries.shape[1]} values per row, got {row.size}"
             )
         entries[i] = row
-    return _validate_owned(entries, eps)
+    return _validate_owned(entries)
 
 
 def _is_float(token: str) -> bool:
@@ -82,9 +90,7 @@ def _is_float(token: str) -> bool:
         return False
 
 
-def _parse_adjacency(
-    lines: list[tuple[int, str]], eps: float
-) -> RelativeInteractionMatrix:
+def _parse_adjacency(lines: list[tuple[int, str]]) -> RelativeInteractionMatrix:
     advice: dict[int, list[int]] = {}
     max_node = 0
     for line_no, text in lines:
@@ -120,16 +126,15 @@ def _parse_adjacency(
         weight = 1.0 / len(targets)
         for j in targets:
             entries[node - 1, j - 1] = weight
-    return _validate_owned(entries, eps)
+    return _validate_owned(entries)
 
 
-def load_network(
-    path, format: Optional[str] = None, eps: float = EPS_VALIDATION
-) -> RelativeInteractionMatrix:
-    """Load and validate a network file.
+def load_network(path, format: Optional[str] = None) -> RelativeInteractionMatrix:
+    """Load and validate a network file (see :func:`validate_matrix`).
 
     `format` is "dense", "adjacency", or None to sniff: a first content
-    line containing ':' marks an adjacency list.
+    line containing ':' marks an adjacency list.  A file that cannot be
+    opened raises OSError; one that is not UTF-8 text raises ParseError.
     """
     lines = _content_lines(path)
     if not lines:
@@ -137,9 +142,9 @@ def load_network(
     if format is None:
         format = FORMAT_ADJACENCY if ":" in lines[0][1] else FORMAT_DENSE
     if format == FORMAT_DENSE:
-        return _parse_dense(lines, eps)
+        return _parse_dense(lines)
     if format == FORMAT_ADJACENCY:
-        return _parse_adjacency(lines, eps)
+        return _parse_adjacency(lines)
     raise ValueError(f"unknown format {format!r}")
 
 

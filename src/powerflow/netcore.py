@@ -56,21 +56,20 @@ class RelativeInteractionMatrix:
         return self.entries.shape[0]
 
 
-def validate_matrix(raw, eps: float = EPS_VALIDATION) -> RelativeInteractionMatrix:
+def validate_matrix(raw) -> RelativeInteractionMatrix:
     """Validate a raw square matrix of relative interpersonal weights.
 
     Requires non-negative entries, an exactly-zero diagonal and unit row
-    sums, all within `eps`.  Accepted rows are renormalized so each sums to
-    1 up to float rounding, and round-off negatives / diagonal dust are
-    cleared, which keeps the positive-entry pattern free of spurious edges.
+    sums, all within EPS_VALIDATION.  Accepted rows are renormalized so
+    each sums to 1 up to float rounding, and round-off negatives / diagonal
+    dust are cleared, which keeps the positive-entry pattern free of
+    spurious edges.
     The caller's `raw` is copied, never changed.
     """
-    return _validate_owned(np.array(raw, dtype=float), eps)
+    return _validate_owned(np.array(raw, dtype=float))
 
 
-def _validate_owned(
-    entries: np.ndarray, eps: float = EPS_VALIDATION
-) -> RelativeInteractionMatrix:
+def _validate_owned(entries: np.ndarray) -> RelativeInteractionMatrix:
     """:func:`validate_matrix` of a float array the caller hands over: it is
     renormalized in place and frozen into the result, with no copy."""
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -80,16 +79,16 @@ def _validate_owned(
         raise MatrixValidationError(f"need at least 2 nodes, got {n}")
     if not np.all(np.isfinite(entries)):
         raise MatrixValidationError("entries must be finite numbers")
-    negative = np.argwhere(entries < -eps)
+    negative = np.argwhere(entries < -EPS_VALIDATION)
     if negative.size:
         i, j = negative[0]
         raise NegativeEntryError(int(i) + 1, int(j) + 1, float(entries[i, j]))
-    nonzero_diag = np.flatnonzero(np.abs(np.diagonal(entries)) > eps)
+    nonzero_diag = np.flatnonzero(np.abs(np.diagonal(entries)) > EPS_VALIDATION)
     if nonzero_diag.size:
         i = int(nonzero_diag[0])
         raise DiagonalNonzeroError(i + 1, float(entries[i, i]))
     sums = entries.sum(axis=1)
-    off = np.flatnonzero(np.abs(sums - 1.0) > eps)
+    off = np.flatnonzero(np.abs(sums - 1.0) > EPS_VALIDATION)
     if off.size:
         i = int(off[0])
         raise RowSumOutOfToleranceError(i + 1, float(sums[i]))

@@ -28,17 +28,18 @@ from .netcore import NetworkStructure, RelativeInteractionMatrix
 EPS_SPECTRAL = 1e-12
 
 
-def dominant_left_eigenvector(M, eps: float = EPS_SPECTRAL) -> np.ndarray:
+def dominant_left_eigenvector(M) -> np.ndarray:
     """Left eigenvector v of an irreducible row-stochastic matrix M with
     v M = v, v > 0, sum(v) = 1, accepted when the max-norm residual of
-    v M - v is below `eps`.
+    v M - v is below EPS_SPECTRAL.
 
     One direct LU solve of v (M - I) = 0 with its last equation replaced by
     sum(v) = 1; for irreducible M that system is nonsingular, whatever the
     period or the spectral gap, so the answer is deterministic and carries
     no iteration error.  The residual is a hard gate: NoConvergenceError,
     carrying the residual, reports a singular system (M not irreducible), a
-    residual at or above `eps`, or an entry that is not strictly positive.
+    residual at or above EPS_SPECTRAL, or an entry that is not strictly
+    positive.
     """
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
@@ -55,7 +56,7 @@ def dominant_left_eigenvector(M, eps: float = EPS_SPECTRAL) -> np.ndarray:
         raise NoConvergenceError(residual=math.inf) from None
     v /= v.sum()
     residual = float(np.max(np.abs(v @ A - v)))
-    if not residual < eps or not np.all(v > 0.0):
+    if not residual < EPS_SPECTRAL or not np.all(v > 0.0):
         raise NoConvergenceError(residual=residual)
     return v
 
@@ -85,22 +86,21 @@ class CentralityProfile:
 
 
 def centrality_profile(
-    C: RelativeInteractionMatrix,
-    structure: NetworkStructure,
-    eps: float = EPS_SPECTRAL,
+    C: RelativeInteractionMatrix, structure: NetworkStructure
 ) -> CentralityProfile:
     """Centrality scores for `C` under its classified `structure`.
 
     One eigenvector per closed class in `structure.sink_index`: the whole
     network when it is irreducible, the reachable set when it is reducible
-    with one sink, each sink otherwise.  `global_c` is the lifted vector of
+    with one sink, each sink otherwise, each gated by EPS_SPECTRAL (see
+    :func:`dominant_left_eigenvector`).  `global_c` is the lifted vector of
     the only class when there is one, and None with several.
     """
     per_sink, lifted = [], []
     for idx in structure.sink_index:
         # a class spanning the network is solved on C itself, not a copy
         block = C.entries if idx.size == C.n else C.entries[np.ix_(idx, idx)]
-        c_k = dominant_left_eigenvector(block, eps)
+        c_k = dominant_left_eigenvector(block)
         vec = np.zeros(C.n)
         vec[idx] = c_k
         per_sink.append(c_k)

@@ -55,6 +55,10 @@ def two_sink_six():
 STAR_SINK_ADJACENCY = "1: 2 3 4\n2: 1\n3: 1\n4: 1\n5: 6\n6: 5\n7: 1 5\n"
 
 
+# two swap sinks {1,2} and {3,4}; node 5 asks 1 and 3
+TWO_PAIR_ADJACENCY = "1: 2\n2: 1\n3: 4\n4: 3\n5: 1 3\n"
+
+
 def star_sink_seven():
     """The network of STAR_SINK_ADJACENCY as a matrix."""
     entries = np.zeros((7, 7))

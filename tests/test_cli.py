@@ -150,6 +150,29 @@ class TestEquilibriumCommand:
         assert "assembled equilibrium" in out
         assert "0.25, 0.25, 0.25, 0.25, 0" in out
 
+    def test_star_sink_just_below_all_power(self, capsys, tmp_path):
+        path = tmp_path / "star_sink.txt"
+        path.write_text(nets.STAR_SINK_ADJACENCY)
+        code, out, _ = run_cli(
+            capsys, "equilibrium", "--network", str(path), "--zeta", "0.9999999999995,5e-13"
+        )
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assembled = lines["assembled equilibrium"]
+        assert not assembled.startswith("[0.999999999999, 0, 0, 0,")
+        assert float(assembled[1:].split(",")[0]) < 1.0 - 1e-7
+        assert float(lines["residual"]) < 1e-17
+
+    def test_pair_sinks_just_below_all_power(self, capsys, tmp_path):
+        path = tmp_path / "two_pair.txt"
+        path.write_text(nets.TWO_PAIR_ADJACENCY)
+        code, out, _ = run_cli(
+            capsys, "equilibrium", "--network", str(path), "--zeta", "0.9999999999995,5e-13"
+        )
+        assert code == 0
+        assert "equilibrium family" not in out
+        assert "assembled equilibrium: [0.5, 0.5, 2.5e-13, 2.5e-13, 0]" in out.splitlines()
+
     def test_multi_sink_without_zeta_describes_family(self, capsys, tmp_path):
         path = tmp_path / "net.txt"
         pf.write_matrix(nets.two_sink_five(), path)

@@ -1,6 +1,6 @@
-"""Bad --zeta, --max-steps, --record-every and --tol values end as input errors
-(exit 2, a one-line message on stderr, no traceback), checked in fresh
-interpreters."""
+"""Bad --zeta, --max-steps, --record-every and --tol values and unreadable
+network files end as input errors (exit 2, a one-line message on stderr, no
+traceback), checked in fresh interpreters."""
 
 import os
 import subprocess
@@ -202,3 +202,29 @@ def test_zeta_with_minus_reaches_the_range_message(two_sink_file, zeta, spelling
     assert capsys.readouterr().err == (
         f"error: bad zeta spec {zeta!r}: sink totals must lie in [0, 1] and sum to 1\n"
     )
+
+
+@pytest.mark.parametrize("command", ["classify", "equilibrium", "simulate"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_network_file_exits_2(tmp_path, command, kind):
+    if kind == "missing":
+        path, message = tmp_path / "no.txt", "error: cannot read network file: [Errno 2] "
+    elif kind == "directory":
+        path, message = tmp_path, "error: cannot read network file: [Errno 21] "
+    else:
+        path, message = tmp_path / "bom.txt", "error: line 1: not UTF-8 text"
+        path.write_bytes(b"\xff\xfe")
+    result = run_powerflow(command, "--network", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(message)
+    assert "Traceback" not in result.stderr
+
+
+def test_failed_out_write_exits_1(tmp_path):
+    out = tmp_path / "no-such-dir" / "traj.csv"
+    result = run_powerflow("simulate", "--builder", "star:5", "--max-steps", "5", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: [Errno 2] ")
+    assert "Traceback" not in result.stderr

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import re
 import tracemalloc
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powerflow as pf
+from powerflow import dynamics
 from powerflow.errors import InvalidInitialError, MassDriftError, StructureMismatchError
-from powerflow.netcore import RelativeInteractionMatrix
+from powerflow.netcore import RelativeInteractionMatrix, _condensation
 
 import nets
 
@@ -201,6 +203,67 @@ class TestClosedFormDfStep:
         # one plan for interior states, one per step taken at the vertex
         assert calls["condensation"] <= 2
         assert calls["eigvec"] <= 3
+
+
+def _closed_classes_reference(C, absorbing):
+    """Closed classes of W(x) for the states whose exact vertex coordinates
+    are `absorbing`, the way df plans once found them: the condensation
+    sinks of W(indicator of that set), whose pattern every such W(x) has."""
+    indicator = np.zeros(C.n)
+    indicator[list(absorbing)] = 1.0
+    condensation = _condensation(pf.influence_matrix(C, indicator).entries)
+    return {frozenset(v - 1 for v in condensation.components[k]) for k in condensation.sinks}
+
+
+def _transient_patterns(rng, count):
+    """`count` random advice patterns with transient nodes: every node of
+    4 to 8 asks one or two others."""
+    found = []
+    while len(found) < count:
+        n = int(rng.integers(4, 9))
+        entries = np.zeros((n, n))
+        for i in range(n):
+            asked = rng.choice(np.delete(np.arange(n), i), size=int(rng.integers(1, 3)), replace=False)
+            entries[i, asked] = 1.0 / asked.size
+        C = pf.validate_matrix(entries)
+        if not isinstance(pf.classify(C), pf.Irreducible):
+            found.append(C)
+    return found
+
+
+class TestClosedClassRule:
+    """A df plan takes the closed classes of W(x) from C's classified
+    structure: each exact vertex coordinate alone, plus every closed class
+    of C that holds none of them.  Checked against the condensation of
+    W(x) for every set of at most three such coordinates."""
+
+    @staticmethod
+    def _check(C):
+        structure = pf.classify(C)
+        for size in range(4):
+            for absorbing in itertools.combinations(range(C.n), size):
+                plan = dynamics._df_plan(C, structure, absorbing)
+                classes = {frozenset(s.tolist()) for s in plan.classes}
+                assert len(classes) == len(plan.classes)
+                assert classes == _closed_classes_reference(C, absorbing), absorbing
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            nets.reachable_pair,
+            nets.two_sink_five,
+            nets.two_sink_six,
+            nets.star_sink_seven,
+            nets.transient_cycle_six,
+            nets.reducible_star_ten,
+        ],
+    )
+    def test_fixtures(self, make):
+        self._check(make())
+
+    def test_random_patterns_with_transient_nodes(self):
+        for C in _transient_patterns(np.random.default_rng(47), 100):
+            self._check(C)
 
 
 class TestSinkPower:

@@ -457,6 +457,31 @@ class TestAssembleMultisink:
         assert x.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert pf.fixed_point_residual(C, x) == 0.0
 
+    @pytest.mark.parametrize("share", [1.0 - 5e-13, 1.0 - 1e-12, 1.0 - 1e-11])
+    def test_star_sink_just_below_all_power_is_interior(self, share):
+        # below a total of 1 the star sink has its interior point, not the
+        # centre's vertex, and the assembled state is a fixed point
+        C, structure, profile = self._setup(nets.star_sink_seven)
+        x = pf.assemble_multisink_equilibrium(structure, profile, [share, 1.0 - share])
+        assert 0.0 < x[0] < 1.0 - 1e-7
+        assert np.all(x[1:4] > 1e-8)
+        assert x[:4].sum() == pytest.approx(share, abs=1e-15)
+        assert pf.fixed_point_residual(C, x) < 1e-15
+
+    @pytest.mark.parametrize("share", [1.0 - 5e-13, 1.0 - 1e-12, 1.0 - 1e-11])
+    def test_pair_sinks_just_below_all_power_split_evenly(self, tmp_path, share):
+        # below a total of 1 a two-node sink's only fixed point is the even
+        # split: x_1' - x_1 = (x_2 - x_1)(1 - m)
+        path = tmp_path / "two_pair.txt"
+        path.write_text(nets.TWO_PAIR_ADJACENCY)
+        C = pf.load_network(path)
+        structure = pf.classify(C)
+        profile = pf.centrality_profile(C, structure)
+        zeta = np.array([share, 1.0 - share])
+        x = pf.assemble_multisink_equilibrium(structure, profile, zeta)
+        assert np.array_equal(x, [share / 2, share / 2, zeta[1] / 2, zeta[1] / 2, 0.0])
+        assert pf.fixed_point_residual(C, x) < 1e-16
+
     def test_uniform_three_node_sink(self):
         # sinks {1,2} and the ring {3,4,5}: uniform centrality in sink 2
         entries = np.zeros((6, 6))

@@ -399,6 +399,27 @@ class TestDenseParserSemantics:
         assert err.value.line_no == 5
         assert str(err.value) == "line 5: not a number: '0.5e'"
 
+    def test_non_utf8_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0 1\n1 0\n# caf\xe9\n")
+        with pytest.raises(ParseError) as err:
+            pf.load_network(path)
+        assert str(err.value) == "line 3: not UTF-8 text"
+        (tmp_path / "bom.txt").write_bytes(b"\xff\xfe")
+        with pytest.raises(ParseError, match="line 1: not UTF-8 text"):
+            pf.load_network(tmp_path / "bom.txt")
+
+    def test_utf8_comment_is_read(self, tmp_path):
+        path = tmp_path / "utf8.txt"
+        path.write_text("# caf\u00e9 \u2192 advice\n0 1\n1 0\n", encoding="utf-8")
+        assert np.array_equal(pf.load_network(path).entries, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_unopenable_path_raises_oserror(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            pf.load_network(tmp_path / "missing.txt")
+        with pytest.raises(IsADirectoryError):
+            pf.load_network(tmp_path)
+
     def test_ragged_row_message(self, tmp_path):
         path = tmp_path / "ragged.txt"
         path.write_text("0 0.5 0.5\n1 0 0\n0.5 0.5\n")
