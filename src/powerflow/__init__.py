@@ -28,9 +28,8 @@ _EXPORTS = {
         ("netcore", (
             "EPS_VALIDATION", "Condensation", "RelativeInteractionMatrix",
             "NetworkStructure", "Irreducible", "ReducibleReachable", "MultiSink",
-            "validate_matrix", "strongly_connected_components",
-            "globally_reachable_set", "star_center", "classify",
-            "SingleSink", "single_sink",
+            "validate_matrix", "strongly_connected_components", "star_center",
+            "classify", "SingleSink", "single_sink",
         )),
         ("spectral", (
             "EPS_SPECTRAL", "CentralityProfile", "InfluenceMatrix",

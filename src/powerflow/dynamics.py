@@ -44,7 +44,7 @@ from .netcore import MultiSink, NetworkStructure, RelativeInteractionMatrix, cla
 from .spectral import dominant_left_eigenvector
 
 # Not called here: perfbench's tracer wraps these two names on this module,
-# and a test counts the calls of _condensation through it.
+# and its install fails on a missing name.
 from .netcore import _condensation  # noqa: F401
 from .spectral import influence_matrix  # noqa: F401
 
@@ -602,13 +602,14 @@ def _block_length(
 ) -> int:
     """Steps in the next block: enough, at the observed contraction `rate`,
     to take the step `delta` below `eps_conv` or the distance `gap` from the
-    nearest vertex below `eps_simplex`, plus the step that confirms it; at
-    most twice the last block, since early rates are rough."""
+    nearest vertex below `eps_simplex`, plus the step that confirms it (a
+    zero tolerance sets no target); at most twice the last block, since
+    early rates are rough."""
     longest = min(2 * k, _MAX_BLOCK)
     if not 0.0 < rate < 1.0:
         return longest
     log_rate = math.log(rate)
     need = math.log(eps_conv / delta) / log_rate if eps_conv > 0.0 else math.inf
-    if gap > eps_simplex:
+    if eps_simplex > 0.0 and gap > eps_simplex:
         need = min(need, math.log(eps_simplex / gap) / log_rate)
     return int(min(max(need, 0.0) + 2.0, longest))

@@ -295,14 +295,15 @@ def assemble_multisink_equilibrium(
 ) -> np.ndarray:
     """Equilibrium of a multi-sink network for a given sink power split.
 
-    Non-sink nodes get 0, a sink with total 0 the zero vector and a
-    one-node sink its total.  Every sink of two or more nodes is solved by
-    :func:`solve_interior_equilibrium` from its centrality scores with the
-    sink total as mass; a two-node sink (scores (1/2, 1/2)) thus gets the
-    even split.  Holding all power, a total of 1, a star sink gets its
-    centre's vertex and a two-node sink the family (a, 1-a), whose member
-    `alpha` picks (FamilyParameterRequiredError without it).  Each total
-    must lie in [0, 1], their sum within 1e-9 of 1.
+    Non-sink nodes get 0 and a sink with total 0 the zero vector.  Every
+    other sink, of two or more nodes since each node of a validated network
+    gives weight to another, is solved by :func:`solve_interior_equilibrium`
+    from its centrality scores with the sink total as mass; a two-node sink
+    (scores (1/2, 1/2)) thus gets the even split.  Holding all power, a
+    total of 1, a star sink gets its centre's vertex and a two-node sink the
+    family (a, 1-a), whose member `alpha` picks
+    (FamilyParameterRequiredError without it).  Each total must lie in
+    [0, 1], their sum within 1e-9 of 1.
     """
     if not isinstance(structure, MultiSink):
         raise StructureMismatchError(
@@ -322,9 +323,6 @@ def assemble_multisink_equilibrium(
     for k, idx in enumerate(structure.sink_index):
         total = float(zeta[k])
         if total == 0.0:
-            continue
-        if idx.size == 1:
-            x[idx] = total
             continue
         try:
             x[idx] = solve_interior_equilibrium(profile.per_sink[k], total, eps)

@@ -1,18 +1,21 @@
-"""Influence-matrix validation and directed-graph structure analysis.
+"""Influence-matrix validation and the closed classes of its digraph.
 
 The relative interaction matrix of a group is row-stochastic with zero
 diagonal: entry (i, j) is the relative weight individual i accords to
-individual j.  Everything downstream dispatches on the shape of the digraph
-induced by its positive entries, so this module owns the validation gate,
-the strongly-connected-component machinery, and the classifier that splits
-a network into one of three variants: irreducible, reducible with a
-globally reachable node set, or multi-sink.  Each variant carries its
-closed classes as `sink_index`, for the other modules to read, and
-:func:`single_sink` describes the one closed class of the first two.
-:func:`classify` reads the positive pattern once, for the component
-search, and its star test reads one row plus a row and a column per
-candidate centre, so its cost is that of the pattern pass and Tarjan's
-O(n + edges) search.
+individual j.  Everything downstream dispatches on the closed classes
+(sinks) of the digraph of its positive entries, the strongly connected
+components that no edge leaves.  This module owns the validation gate, the
+component search, which marks the closed components in the same pass over
+the pattern, and the classifier that sorts a network by them into one of
+three variants: one component (irreducible), one closed class among
+several components, which is then the set of nodes reachable from every
+node (reducible with a globally reachable set), or several closed classes
+(multi-sink).  Each variant carries its closed classes as `sink_index`,
+for the other modules to read, and :func:`single_sink` describes the one
+closed class of the first two.  :func:`classify` reads the positive pattern
+once, and its star test reads one row plus a row and a column per candidate
+centre, so its cost is that of the pattern pass and Tarjan's O(n + edges)
+search.
 
 All node identifiers on public surfaces are 1-based.
 """
@@ -155,23 +158,17 @@ def _tarjan(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class Condensation:
-    """Strongly connected components plus the digraph between them.
+    """Strongly connected components and which of them are closed.
 
     `components` holds 1-based node tuples in reverse topological order
-    (every component precedes the components that point into it), `edges`
-    the deduplicated component-index pairs, and `component_index[i-1]` the
-    component holding node i.
+    (every component precedes the components that point into it).  `sinks`
+    lists, ascending, the indices of the closed components, those that no
+    edge leaves; a validated network has at least one, and exactly one when
+    some node set is reachable from every node.
     """
 
     components: tuple[tuple[int, ...], ...]
-    component_index: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def sinks(self) -> tuple[int, ...]:
-        """Indices of components with no outgoing condensation edge."""
-        has_out = {a for a, _ in self.edges}
-        return tuple(k for k in range(len(self.components)) if k not in has_out)
+    sinks: tuple[int, ...]
 
 
 def _condensation(entries: np.ndarray) -> Condensation:
@@ -184,40 +181,23 @@ def _condensation(entries: np.ndarray) -> Condensation:
     tails_list = tails.tolist()
     adjacency = [tails_list[a:b] for a, b in zip(offsets, offsets[1:])]
     raw = _tarjan(adjacency)
-    component_index = [0] * n
-    for k, component in enumerate(raw):
-        for v in component:
-            component_index[v] = k
-    edges: frozenset[tuple[int, int]] = frozenset()
-    if len(raw) > 1:
-        index = np.array(component_index)
-        src, dst = index[heads], index[tails]
-        cross = src != dst
-        edges = frozenset(zip(src[cross].tolist(), dst[cross].tolist()))
-    return Condensation(
-        components=tuple(tuple(sorted(v + 1 for v in comp)) for comp in raw),
-        component_index=tuple(component_index),
-        edges=edges,
-    )
+    components = tuple(tuple(sorted(v + 1 for v in comp)) for comp in raw)
+    if len(raw) == 1:
+        return Condensation(components, (0,))
+    # map the pattern edges to components: a component no edge leaves is closed
+    component_of = [0] * n
+    for k, comp in enumerate(raw):
+        for v in comp:
+            component_of[v] = k
+    index = np.array(component_of)
+    src = index[heads]
+    left = set(src[src != index[tails]].tolist())
+    return Condensation(components, tuple(k for k in range(len(raw)) if k not in left))
 
 
 def strongly_connected_components(C: RelativeInteractionMatrix) -> Condensation:
     """Components of the weight digraph of `C` (edge i -> j iff c_ij > 0)."""
     return _condensation(C.entries)
-
-
-def globally_reachable_set(C: RelativeInteractionMatrix) -> tuple[int, ...]:
-    """Nodes reachable from every node of the network.
-
-    Nonempty exactly when the condensation has a single sink, in which case
-    it equals that sink's node set; with several sinks no node is reachable
-    from all of them and the result is empty.
-    """
-    condensation = strongly_connected_components(C)
-    sinks = condensation.sinks
-    if len(sinks) != 1:
-        return ()
-    return condensation.components[sinks[0]]
 
 
 def star_center(
@@ -282,13 +262,6 @@ class Irreducible:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sink_index", _sink_index((np.arange(1, self.n + 1),)))
 
-    @property
-    def degenerate_pair(self) -> bool:
-        """True for a two-node network, which can only be the swap
-        [[0, 1], [1, 0]]: both update rules fix every interior point of the
-        simplex, so no unique interior equilibrium exists."""
-        return self.n == 2
-
 
 @dataclass(frozen=True)
 class ReducibleReachable:
@@ -307,10 +280,6 @@ class ReducibleReachable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sink_index", _sink_index((self.reachable,)))
-
-    @property
-    def r(self) -> int:
-        return len(self.reachable)
 
 
 @dataclass(frozen=True)
@@ -353,19 +322,18 @@ NetworkStructure = Union[Irreducible, ReducibleReachable, MultiSink]
 def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
     """Classify the network structure of `C`.
 
-    Total: every validated matrix maps to exactly one variant, and the
-    result equals Irreducible iff the globally reachable set is all nodes.
+    Total: every validated matrix maps to exactly one variant, by the
+    closed classes of its condensation: a single component is Irreducible,
+    a single closed class among several components ReducibleReachable, and
+    several closed classes MultiSink.
     """
     condensation = strongly_connected_components(C)
     if len(condensation.components) == 1:
         return Irreducible(C.n, star_center=star_center(C))
-    sink_ids = condensation.sinks
-    if len(sink_ids) == 1:
-        reachable = condensation.components[sink_ids[0]]
-        return ReducibleReachable(C.n, reachable, star_center(C, reachable))
-    sinks = tuple(
-        sorted((condensation.components[k] for k in sink_ids), key=lambda c: c[0])
-    )
+    closed = [condensation.components[k] for k in condensation.sinks]
+    if len(closed) == 1:
+        return ReducibleReachable(C.n, closed[0], star_center(C, closed[0]))
+    sinks = tuple(sorted(closed, key=lambda c: c[0]))
     in_sink = {v for comp in sinks for v in comp}
     non_sink = tuple(v for v in range(1, C.n + 1) if v not in in_sink)
     permutation = tuple(v for comp in sinks for v in comp) + non_sink

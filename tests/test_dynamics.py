@@ -178,10 +178,12 @@ class TestClosedFormDfStep:
             assert np.max(np.abs(traj.states[t] - x)) < 1e-15
 
     def test_simulate_builds_structure_once(self, monkeypatch):
-        from powerflow import dynamics
+        from powerflow import dynamics, netcore
 
+        C = nets.reducible_star_ten()
+        structure = pf.classify(C)
         calls = {"condensation": 0, "eigvec": 0}
-        condensation = dynamics._condensation
+        condensation = netcore._condensation
         eigvec = dynamics.dominant_left_eigenvector
 
         def counted_condensation(*args, **kwargs):
@@ -192,17 +194,19 @@ class TestClosedFormDfStep:
             calls["eigvec"] += 1
             return eigvec(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "_condensation", counted_condensation)
+        # every SCC pass, classify's included, goes through netcore._condensation
+        monkeypatch.setattr(netcore, "_condensation", counted_condensation)
         monkeypatch.setattr(dynamics, "dominant_left_eigenvector", counted_eigvec)
-        C = nets.reducible_star_ten()
-        structure = pf.classify(C)
         e10 = np.zeros(10)
         e10[9] = 1.0
         traj = pf.simulate("df", C, e10, max_steps=500, structure=structure)
         assert traj.total_steps == 500
-        # one plan for interior states, one per step taken at the vertex
-        assert calls["condensation"] <= 2
+        # no SCC pass with the structure given; one plan for interior
+        # states, one per step taken at the vertex
+        assert calls["condensation"] == 0
         assert calls["eigvec"] <= 3
+        pf.simulate("df", C, e10, max_steps=500)
+        assert calls["condensation"] == 1
 
 
 def _closed_classes_reference(C, absorbing):
@@ -639,6 +643,18 @@ class TestBlockedEngine:
             traj = pf.simulate("df", C, x, eps_conv=0.0, eps_simplex=0.0, max_steps=50)
         assert np.array_equal(traj.states, np.array(states))
         assert _status_key(traj.status) == ("VertexAbsorbed", vertex_step + 1)
+
+    @pytest.mark.parametrize("model", ["st", "df"])
+    def test_zero_tolerances_run_to_max_steps(self, model):
+        # no step or vertex target: the block lengths come from the cap alone
+        C = pf.build_ring(5)
+        x0 = np.array([0.3, 0.2, 0.2, 0.2, 0.1])
+        traj = pf.simulate(model, C, x0, eps_conv=0.0, eps_simplex=0.0, max_steps=40)
+        assert _status_key(traj.status) == ("MaxStepsReached", 40)
+        assert traj.total_steps == 40
+        if model == "st":
+            states, _, _, _ = _stepwise_st(C, x0, 40, eps_conv=0.0, eps_simplex=0.0)
+            assert np.array_equal(traj.states, states)
 
     def test_error_state_unchanged_after_simulate(self, block_sizes):
         before = np.geterr()

@@ -109,31 +109,33 @@ def _brute_force_sinks(entries, components):
 
 
 def _condensation_per_row(entries):
-    """Reference: the adjacency built row by row with one flatnonzero each."""
+    """Reference: the adjacency built row by row with one flatnonzero each,
+    and a component closed when none of its rows points outside it."""
     n = entries.shape[0]
     adjacency = [np.flatnonzero(entries[i] > 0.0).tolist() for i in range(n)]
     raw = _tarjan(adjacency)
-    component_index = [0] * n
-    for k, component in enumerate(raw):
-        for v in component:
-            component_index[v] = k
-    edges = set()
-    for i in range(n):
-        for j in adjacency[i]:
-            if component_index[i] != component_index[j]:
-                edges.add((component_index[i], component_index[j]))
+    sinks = tuple(
+        k
+        for k, comp in enumerate(raw)
+        if set(comp).issuperset(j for i in comp for j in adjacency[i])
+    )
     return Condensation(
         components=tuple(tuple(sorted(v + 1 for v in comp)) for comp in raw),
-        component_index=tuple(component_index),
-        edges=frozenset(edges),
+        sinks=sinks,
     )
+
+
+def _closed_components(cond):
+    return {cond.components[k] for k in cond.sinks}
 
 
 class TestStronglyConnectedComponents:
     def test_ring_is_one_component(self):
-        cond = pf.strongly_connected_components(nets.ring3())
+        C = nets.ring3()
+        cond = pf.strongly_connected_components(C)
         assert cond.components == ((1, 2, 3),)
-        assert cond.edges == frozenset()
+        assert cond.sinks == (0,)
+        assert _closed_components(cond) == _brute_force_sinks(C.entries, cond.components)
 
     def test_two_sink_block_example(self):
         cond = pf.strongly_connected_components(nets.two_sink_five())
@@ -147,12 +149,16 @@ class TestStronglyConnectedComponents:
         assert [cond.components[k] for k in cond.sinks] == [(1, 2)]
 
     def test_reverse_topological_order(self):
-        # every condensation edge must point from a later to an earlier slot
+        # every positive entry between two components must point from a
+        # later to an earlier slot
         rng = np.random.default_rng(5)
         for _ in range(50):
             C = nets.random_binary_pattern(rng, int(rng.integers(3, 8)))
             cond = pf.strongly_connected_components(C)
-            assert all(a > b for a, b in cond.edges)
+            slot = {v: k for k, comp in enumerate(cond.components) for v in comp}
+            for i, j in zip(*np.nonzero(C.entries > 0)):
+                assert slot[i + 1] >= slot[j + 1]
+            assert _closed_components(cond) == _brute_force_sinks(C.entries, cond.components)
 
     def test_against_transitive_closure_oracle(self):
         rng = np.random.default_rng(42)
@@ -234,18 +240,18 @@ class TestCondensationAgainstReachability:
             expected = {tuple((np.flatnonzero(mutual[i]) + 1).tolist()) for i in range(n)}
             assert len(cond.components) == len(expected)
             assert set(cond.components) == expected
-            for i in range(n):
-                assert i + 1 in cond.components[cond.component_index[i]]
+            assert sorted(v for comp in cond.components for v in comp) == list(range(1, n + 1))
             # reverse topological: a component reachable from another comes first
             for a, comp_a in enumerate(cond.components):
                 for b, comp_b in enumerate(cond.components):
                     if a != b and reach[comp_a[0] - 1, comp_b[0] - 1]:
                         assert b < a
-            index = cond.component_index
-            assert cond.edges == {
-                (index[i], index[j])
-                for i, j in zip(*np.nonzero(entries > 0))
-                if index[i] != index[j]
+            # closed: the component reaches no node outside itself
+            assert list(cond.sinks) == sorted(cond.sinks)
+            assert _closed_components(cond) == {
+                comp
+                for comp in expected
+                if np.count_nonzero(reach[comp[0] - 1]) == len(comp)
             }
             singletons += sum(len(c) == 1 for c in cond.components)
             nodes += n
@@ -259,24 +265,30 @@ class TestCondensationAgainstReachability:
         cond = _condensation(entries)
         # the search from node 1 reaches node n last and emits it first
         assert cond.components == tuple((v,) for v in range(n, 0, -1))
-        assert cond.component_index == tuple(range(n - 1, -1, -1))
-        assert cond.edges == {(k + 1, k) for k in range(n - 1)}
+        # node n, the end of the path, is the one closed component
+        assert cond.sinks == (0,)
         entries[n - 1, 0] = True
         cond = _condensation(entries)
         assert cond.components == (tuple(range(1, n + 1)),)
-        assert cond.component_index == (0,) * n
-        assert cond.edges == frozenset()
+        assert cond.sinks == (0,)
+
+
+def _globally_reachable_set(C):
+    """Nodes reachable from every node, read from classify: the one closed
+    class of a single-sink structure, none with several sinks."""
+    sink = pf.single_sink(pf.classify(C))
+    return () if sink is None else tuple((sink.index + 1).tolist())
 
 
 class TestGloballyReachableSet:
     def test_irreducible_gives_all_nodes(self):
-        assert pf.globally_reachable_set(nets.ring3()) == (1, 2, 3)
+        assert _globally_reachable_set(nets.ring3()) == (1, 2, 3)
 
     def test_unique_sink(self):
-        assert pf.globally_reachable_set(nets.reachable_pair()) == (1, 2)
+        assert _globally_reachable_set(nets.reachable_pair()) == (1, 2)
 
     def test_two_sinks_give_empty(self):
-        assert pf.globally_reachable_set(nets.two_sink_five()) == ()
+        assert _globally_reachable_set(nets.two_sink_five()) == ()
 
 
 def _star_center_per_node(C, nodes=None, eps=pf.EPS_VALIDATION):
@@ -393,18 +405,18 @@ class TestClassify:
         structure = pf.classify(pf.build_star(10))
         assert isinstance(structure, pf.Irreducible)
         assert structure.star_center == 1
-        assert not structure.degenerate_pair
+        assert pf.regime_name(structure) == "irreducible-star(center=1)"
 
     def test_pair_flagged_degenerate(self):
         structure = pf.classify(pf.validate_matrix([[0, 1], [1, 0]]))
         assert isinstance(structure, pf.Irreducible)
-        assert structure.degenerate_pair
+        assert pf.regime_name(structure) == "irreducible-pair"
 
     def test_reachable_pair(self):
         structure = pf.classify(nets.reachable_pair())
         assert isinstance(structure, pf.ReducibleReachable)
         assert structure.reachable == (1, 2)
-        assert structure.r == 2
+        assert len(structure.reachable) == 2
         assert structure.star_center_of_subgraph is None
 
     def test_reducible_star_subgraph_center(self):
@@ -447,8 +459,11 @@ class TestClassify:
             assert isinstance(
                 structure, (pf.Irreducible, pf.ReducibleReachable, pf.MultiSink)
             )
-            reachable = pf.globally_reachable_set(C)
+            reachable = _globally_reachable_set(C)
             assert (len(reachable) == C.n) == isinstance(structure, pf.Irreducible)
+            # the same set straight from reachability: the nodes every node reaches
+            from_all = np.flatnonzero(_reachability(C.entries).all(axis=0)) + 1
+            assert reachable == tuple(from_all.tolist())
         # each variant is reachable
         assert isinstance(pf.classify(nets.ring3()), pf.Irreducible)
         assert isinstance(pf.classify(nets.reachable_pair()), pf.ReducibleReachable)
