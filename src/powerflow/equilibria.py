@@ -42,7 +42,6 @@ from .dynamics import (
     vertex_index,
 )
 from .errors import (
-    CenterDominantError,
     DimensionTooSmallError,
     FamilyParameterRequiredError,
     NoConvergenceError,
@@ -57,8 +56,8 @@ from .netcore import (
 )
 from .spectral import CentralityProfile
 
-# Slack of the star test c_top >= 1/2 and of a total mass above 1.
-_CENTER_DOMINANT_MARGIN = 1e-12
+# A total mass up to this much above 1 counts as 1.
+_MASS_SLACK = 1e-12
 
 
 def solve_interior_equilibrium(
@@ -87,7 +86,10 @@ def solve_interior_equilibrium(
     so F is concave on [0, 1].  As F(0) = -m < 0 and F(1) = k - m >= 0, F
     changes sign exactly once.  For k = 1 and m = 1 the vertex s = 1 is a
     root too, and the interior root lies below it exactly when
-    F'(1) = 1 - (1 - c_top) / c_top < 0, that is when c_top < 1/2.
+    F'(1) = 1 - (1 - c_top) / c_top < 0, that is when c_top < 1/2, and it
+    tends to the vertex as c_top -> 1/2.  A star's c_top rounds to within
+    an ulp or two of 1/2, either side, so stars are told apart by
+    `classify`, not here; on one this returns the vertex within a few ulps.
 
     Root finding.  Newton steps, F'(s) = k + (1 - 2s) sum_i r_i / d_i,
     start from s = m c_top, below the root (the top holds at least its
@@ -108,10 +110,9 @@ def solve_interior_equilibrium(
     bit-identical powers.
 
     A two-member group holding all mass has a one-parameter equilibrium
-    family instead of a point and raises CenterDominantError, as does a
-    dominant score c_top >= 1/2 with total_mass = 1 (the star regime, where
-    the interior point degenerates into the center's vertex).  A mass up to
-    1e-12 above 1 counts as 1; any mass below 1 has its interior point.
+    family instead of a point and raises FamilyParameterRequiredError.  A
+    mass up to 1e-12 above 1 counts as 1; any mass below 1 has its
+    interior point.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size < 2:
@@ -123,22 +124,15 @@ def solve_interior_equilibrium(
         raise ValueError(
             "centrality scores must be finite, strictly positive and sum to 1"
         )
-    if not 0.0 < total_mass <= 1.0 + _CENTER_DOMINANT_MARGIN:
+    if not 0.0 < total_mass <= 1.0 + _MASS_SLACK:
         raise ValueError(f"total mass must lie in (0, 1], got {total_mass!r}")
     m = min(float(total_mass), 1.0)
+    if m >= 1.0 and c.size == 2:
+        raise FamilyParameterRequiredError(
+            "a two-member group holding all power has the equilibrium "
+            "family (a, 1-a); no unique interior point exists"
+        )
     c_top = float(c.max())
-    if m >= 1.0:
-        if c.size == 2:
-            raise CenterDominantError(
-                "a two-member group holding all power has the equilibrium "
-                "family (a, 1-a); no unique interior point exists"
-            )
-        if c_top >= 0.5 - _CENTER_DOMINANT_MARGIN:
-            raise CenterDominantError(
-                f"dominant centrality score {c_top:.6g} >= 1/2 with all "
-                "power in the group: the interior equilibrium degenerates into "
-                "the center's autocratic vertex"
-            )
     top = c == c_top
     rest = ~top
     k = int(np.count_nonzero(top))
@@ -295,15 +289,15 @@ def assemble_multisink_equilibrium(
 ) -> np.ndarray:
     """Equilibrium of a multi-sink network for a given sink power split.
 
-    Non-sink nodes get 0 and a sink with total 0 the zero vector.  Every
-    other sink, of two or more nodes since each node of a validated network
-    gives weight to another, is solved by :func:`solve_interior_equilibrium`
-    from its centrality scores with the sink total as mass; a two-node sink
-    (scores (1/2, 1/2)) thus gets the even split.  Holding all power, a
-    total of 1, a star sink gets its centre's vertex and a two-node sink the
-    family (a, 1-a), whose member `alpha` picks
-    (FamilyParameterRequiredError without it).  Each total must lie in
-    [0, 1], their sum within 1e-9 of 1.
+    Non-sink nodes get 0 and a sink with total 0 the zero vector.  Holding
+    all power, a total of 1, a sink with a centre in `structure.centers`
+    gets its vertex and a two-node sink the family (a, 1-a), whose member
+    `alpha` picks (FamilyParameterRequiredError without it).  Every other
+    sink, of two or more nodes since each node of a validated network gives
+    weight to another, is solved by :func:`solve_interior_equilibrium` from
+    its centrality scores with the sink total as mass, a two-node sink
+    (scores (1/2, 1/2)) thus getting the even split.  Each total must lie
+    in [0, 1], their sum within 1e-9 of 1.
     """
     if not isinstance(structure, MultiSink):
         raise StructureMismatchError(
@@ -324,23 +318,20 @@ def assemble_multisink_equilibrium(
         total = float(zeta[k])
         if total == 0.0:
             continue
-        try:
+        center = structure.centers[k]
+        if total == 1.0 and center is not None:
+            x[center - 1] = total
+        elif total == 1.0 and idx.size == 2:
+            if alpha is None:
+                raise FamilyParameterRequiredError(
+                    f"sink {k + 1} holds all power: its equilibria are "
+                    "the family (a, 1-a); pass alpha to pick one"
+                )
+            if not 0.0 <= alpha <= 1.0:
+                raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+            x[idx] = (alpha, 1.0 - alpha)
+        else:
             x[idx] = solve_interior_equilibrium(profile.per_sink[k], total, eps)
-            continue
-        except CenterDominantError:
-            if idx.size != 2:
-                # a star sink holding all power: the centre's vertex
-                x[idx[np.argmax(profile.per_sink[k])]] = total
-                continue
-        # a two-node sink holding all power: the family (a, 1-a)
-        if alpha is None:
-            raise FamilyParameterRequiredError(
-                f"sink {k + 1} holds all power: its equilibria are "
-                "the family (a, 1-a); pass alpha to pick one"
-            )
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-        x[idx] = (alpha, 1.0 - alpha)
     return x
 
 

@@ -57,11 +57,12 @@ class EmptyAdviceSetError(PowerflowError):
 
 
 class NoConvergenceError(PowerflowError):
-    """A solve missed its residual target; `residual` is the one it reached."""
+    """A solve missed its residual target, or met it with a result that is
+    not valid, which `problem` then names; `residual` is the one it reached."""
 
-    def __init__(self, residual):
+    def __init__(self, residual, problem="missed its residual target"):
         self.residual = residual
-        super().__init__(f"solve missed its residual target (residual {residual:.3g})")
+        super().__init__(f"solve {problem} (residual {residual:.3g})")
 
 
 class InvalidInitialError(PowerflowError):
@@ -70,11 +71,6 @@ class InvalidInitialError(PowerflowError):
 
 class StructureMismatchError(PowerflowError):
     """Operation applied to a network structure variant it does not support."""
-
-
-class CenterDominantError(PowerflowError):
-    """No unique interior equilibrium: one centrality score is at least 1/2
-    while the group holds all social power (the star or near-star regime)."""
 
 
 class DimensionTooSmallError(PowerflowError):
@@ -87,5 +83,5 @@ class MassDriftError(PowerflowError):
 
 
 class FamilyParameterRequiredError(PowerflowError):
-    """A two-node sink holds all social power, so its equilibria form the
+    """A two-node group holds all social power, so its equilibria form the
     one-parameter family (a, 1-a); pass the split parameter to pick one."""

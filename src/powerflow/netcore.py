@@ -10,12 +10,12 @@ the pattern, and the classifier that sorts a network by them into one of
 three variants: one component (irreducible), one closed class among
 several components, which is then the set of nodes reachable from every
 node (reducible with a globally reachable set), or several closed classes
-(multi-sink).  Each variant carries its closed classes as `sink_index`,
-for the other modules to read, and :func:`single_sink` describes the one
-closed class of the first two.  :func:`classify` reads the positive pattern
-once, and its star test reads one row plus a row and a column per candidate
-centre, so its cost is that of the pattern pass and Tarjan's O(n + edges)
-search.
+(multi-sink).  Each variant carries its closed classes as `sink_index`
+and their star centres as `centers`, for the other modules to read, and
+:func:`single_sink` describes the one closed class of the first two.
+:func:`classify` reads the positive pattern once, and its exact star test
+reads one row plus a row and a column per candidate centre, so its cost is
+that of the pattern pass and Tarjan's O(n + edges) search.
 
 All node identifiers on public surfaces are 1-based.
 """
@@ -201,20 +201,16 @@ def strongly_connected_components(C: RelativeInteractionMatrix) -> Condensation:
 
 
 def star_center(
-    C: RelativeInteractionMatrix,
-    nodes: Optional[Sequence[int]] = None,
-    eps: float = EPS_VALIDATION,
+    C: RelativeInteractionMatrix, nodes: Optional[Sequence[int]] = None
 ) -> Optional[int]:
     """Center of a star pattern within `nodes` (default: all nodes), or None.
 
     Node h is the center when, inside the group, every other member accords
-    weight 1 to h (and hence 0 to everyone else) while h accords strictly
-    positive weight to every other member.  Groups of fewer than three
+    weight exactly 1.0 to h, as a validated row with one positive entry
+    does, while h accords strictly positive weight to every other member:
+    a structural test with no tolerance.  Groups of fewer than three
     members never count: with two nodes the pattern is a symmetric swap,
-    not a star.  Callers should pass a group whose induced submatrix is
-    row-stochastic (the full network, a sink, or the reachable set).
-    "Weight 1" means at least 1 - eps; when several members qualify, the
-    lowest-numbered one is the center.  The test reads O(|nodes|) entries.
+    not a star.  The test reads O(|nodes|) entries.
     """
     if nodes is None:
         idx = np.arange(C.n)
@@ -223,17 +219,17 @@ def star_center(
     if idx.size < 3:
         return None
     entries = C.entries
-    threshold = 1.0 - eps
-    # a centre other than the first member gets >= 1 - eps from it, so only
-    # those members and the first one are tested, one row and column each
-    candidates = np.flatnonzero(entries[idx[0], idx] >= threshold)
-    for p in (0, *candidates[candidates > 0].tolist()):
-        h = idx[p]
-        # both tests skip the diagonal, position p of each vector
-        column = entries[idx, h] >= threshold
-        row = entries[h, idx] > 0.0
-        column[p] = row[p] = True
-        if column.all() and row.all():
+    first, leaves = idx[0], idx.size - 1
+    # the centre is the first member, which the second gives 1.0 to, or the
+    # one member the first gives 1.0 to; the weights between h and that
+    # giver, read first, reject most groups; the zero diagonal counts in neither
+    for h, giver in ((first, idx[1]), (idx[entries[first, idx].argmax()], first)):
+        if (
+            entries[giver, h] == 1.0
+            and entries[h, giver] > 0.0
+            and np.count_nonzero(entries[idx, h] == 1.0) == leaves
+            and np.count_nonzero(entries[h, idx]) == leaves
+        ):
             return int(h) + 1
     return None
 
@@ -262,6 +258,10 @@ class Irreducible:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sink_index", _sink_index((np.arange(1, self.n + 1),)))
 
+    @property
+    def centers(self) -> tuple[Optional[int], ...]:
+        return (self.star_center,)
+
 
 @dataclass(frozen=True)
 class ReducibleReachable:
@@ -281,6 +281,10 @@ class ReducibleReachable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sink_index", _sink_index((self.reachable,)))
 
+    @property
+    def centers(self) -> tuple[Optional[int], ...]:
+        return (self.star_center_of_subgraph,)
+
 
 @dataclass(frozen=True)
 class MultiSink:
@@ -291,13 +295,14 @@ class MultiSink:
     rows and columns by it yields a block lower-triangular matrix whose
     leading diagonal blocks are the irreducible row-stochastic sinks.
     Sinks are ordered by their smallest node id, and `sink_index` holds
-    their 0-based indices in that order.
+    their 0-based indices in that order, `centers` their star centres or None.
     """
 
     n: int
     sinks: tuple[tuple[int, ...], ...]
     non_sink_nodes: tuple[int, ...]
     permutation: tuple[int, ...]
+    centers: tuple[Optional[int], ...]
     sink_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -325,7 +330,8 @@ def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
     Total: every validated matrix maps to exactly one variant, by the
     closed classes of its condensation: a single component is Irreducible,
     a single closed class among several components ReducibleReachable, and
-    several closed classes MultiSink.
+    several closed classes MultiSink.  Every structure's `centers` holds
+    the star centre or None of each class in `sink_index`.
     """
     condensation = strongly_connected_components(C)
     if len(condensation.components) == 1:
@@ -337,7 +343,8 @@ def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
     in_sink = {v for comp in sinks for v in comp}
     non_sink = tuple(v for v in range(1, C.n + 1) if v not in in_sink)
     permutation = tuple(v for comp in sinks for v in comp) + non_sink
-    return MultiSink(C.n, sinks, non_sink, permutation)
+    centers = tuple(star_center(C, comp) for comp in sinks)
+    return MultiSink(C.n, sinks, non_sink, permutation, centers)
 
 
 class SingleSink(NamedTuple):
@@ -354,6 +361,4 @@ def single_sink(structure: NetworkStructure) -> Optional[SingleSink]:
     if len(structure.sink_index) != 1:
         return None
     (index,) = structure.sink_index
-    whole = index.size == structure.n
-    center = structure.star_center if whole else structure.star_center_of_subgraph
-    return SingleSink(index, whole, center)
+    return SingleSink(index, index.size == structure.n, structure.centers[0])

@@ -38,8 +38,9 @@ def dominant_left_eigenvector(M) -> np.ndarray:
     period or the spectral gap, so the answer is deterministic and carries
     no iteration error.  The residual is a hard gate: NoConvergenceError,
     carrying the residual, reports a singular system (M not irreducible), a
-    residual at or above EPS_SPECTRAL, or an entry that is not strictly
-    positive.
+    residual at or above EPS_SPECTRAL, or, naming it, a score that is not
+    strictly positive, as true scores far below LU's absolute accuracy of
+    about 1e-16 can come out.
     """
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
@@ -56,8 +57,14 @@ def dominant_left_eigenvector(M) -> np.ndarray:
         raise NoConvergenceError(residual=math.inf) from None
     v /= v.sum()
     residual = float(np.max(np.abs(v @ A - v)))
-    if not residual < EPS_SPECTRAL or not np.all(v > 0.0):
+    if not residual < EPS_SPECTRAL:
         raise NoConvergenceError(residual=residual)
+    if not np.all(v > 0.0):
+        low = int(np.argmin(v))
+        raise NoConvergenceError(residual, (
+            f"met its residual target, but score {low + 1} of {n} is {v[low]:.3g}, "
+            "not strictly positive"
+        ))
     return v
 
 

@@ -15,6 +15,19 @@ RING3 = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 STAR3 = [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
+def near_star(n, delta):
+    """Node 1 gives 1/(n - 1) to every other node; each other node gives
+    1 - delta to node 1 and delta to the next one on the ring
+    2 -> ... -> n -> 2.  Not a star for any delta > 0: its equilibrium is
+    interior, with 1 - x_1 about (n - 1) delta / (n - 2)."""
+    entries = np.zeros((n, n))
+    entries[0, 1:] = 1.0 / (n - 1)
+    for i in range(1, n):
+        entries[i, 0] = 1.0 - delta
+        entries[i, 1 + i % (n - 1)] = delta
+    return entries
+
+
 def three_node():
     return validate_matrix(THREE_NODE)
 

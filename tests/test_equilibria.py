@@ -4,7 +4,6 @@ import pytest
 import powerflow as pf
 from powerflow.cli import main
 from powerflow.errors import (
-    CenterDominantError,
     DimensionTooSmallError,
     FamilyParameterRequiredError,
     NoConvergenceError,
@@ -54,10 +53,12 @@ class TestSolveInteriorEquilibrium:
         limit = pf.simulate("st", C, np.array([0.25, 0.35, 0.4])).final_state
         assert np.max(np.abs(x - limit)) < 1e-6
 
-    def test_star_centrality_rejected_at_full_mass(self):
+    def test_star_centrality_at_full_mass_is_the_vertex(self):
+        # c_top is 1/2 up to rounding: the only root is the centre's vertex
         c = pf.dominant_left_eigenvector(pf.build_star(10).entries)
-        with pytest.raises(CenterDominantError):
-            pf.solve_interior_equilibrium(c, 1.0)
+        x = pf.solve_interior_equilibrium(c, 1.0)
+        assert 0.0 <= 1.0 - x[0] <= 4 * EPS
+        assert np.all((x[1:] >= 0.0) & (x[1:] <= 4 * EPS))
 
     def test_star_centrality_solvable_at_partial_mass(self):
         c = pf.dominant_left_eigenvector(pf.build_star(5).entries)
@@ -72,7 +73,7 @@ class TestSolveInteriorEquilibrium:
         )
 
     def test_pair_with_full_mass_is_a_family(self):
-        with pytest.raises(CenterDominantError):
+        with pytest.raises(FamilyParameterRequiredError):
             pf.solve_interior_equilibrium(np.array([0.5, 0.5]), 1.0)
 
     @pytest.mark.parametrize(
@@ -103,8 +104,6 @@ class TestSolveInteriorEquilibrium:
 
 
 EPS = np.finfo(float).eps
-# the largest top score the CenterDominantError margin admits at full mass
-TOP_BELOW_HALF = float(np.nextafter(0.5 - 1e-12, 0.0))
 
 
 def hub(n, c_top):
@@ -152,7 +151,8 @@ class TestBracketedRoot:
     @pytest.mark.parametrize(
         "c_top",
         [0.3, 0.45, 0.49, 0.499, 0.4999, 0.49999, 0.5 - 1e-7, 0.5 - 1e-9,
-         0.5 - 1e-11, TOP_BELOW_HALF],
+         0.5 - 1e-11, float(np.nextafter(0.5 - 1e-12, 0.0)), 0.5 - 1e-13,
+         0.5 - 1e-14],
     )
     def test_hub_closed_form(self, n, c_top):
         # x_top (1 - x_top) / c_top = x_2 (1 - x_2) / c_2 with
@@ -257,14 +257,8 @@ class TestBracketedRoot:
 
 
 def near_star_file(path, delta, n=10):
-    """Node 1 gives 1/(n - 1) to every other node; each other node gives
-    1 - delta to node 1 and delta to the next one on the ring 2 -> ... -> n -> 2."""
-    entries = np.zeros((n, n))
-    entries[0, 1:] = 1.0 / (n - 1)
-    for i in range(1, n):
-        entries[i, 0] = 1.0 - delta
-        entries[i, 1 + i % (n - 1)] = delta
-    pf.write_matrix(pf.validate_matrix(entries), path)
+    """The network nets.near_star(n, delta), written to `path`."""
+    pf.write_matrix(pf.validate_matrix(nets.near_star(n, delta)), path)
     return str(path)
 
 
@@ -297,8 +291,6 @@ def test_coarse_grid_three_node_oracle():
                 if structure.star_center is not None:
                     continue
                 scores = pf.dominant_left_eigenvector(C.entries)
-                if scores.max() >= 0.5 - 1e-9:  # boundary of the star regime
-                    continue
                 solved = pf.solve_interior_equilibrium(scores, 1.0)
                 limit = pf.simulate("st", C, x0).final_state
                 assert np.max(np.abs(limit - solved)) < 1e-6
@@ -519,6 +511,73 @@ class TestAssembleMultisink:
         _, structure, profile = self._setup(nets.star_sink_seven)
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             pf.assemble_multisink_equilibrium(structure, profile, [1.0000000001, 0.0])
+
+
+def beside_a_pair(block):
+    """`block` as sink 1, the swap {k + 1, k + 2} as sink 2 and one more
+    node asking node 1 and node k + 1, for a k-node `block`."""
+    k = block.shape[0]
+    entries = np.zeros((k + 3, k + 3))
+    entries[:k, :k] = block
+    entries[k, k + 1] = entries[k + 1, k] = 1.0
+    entries[k + 2, [0, k]] = 0.5
+    C = pf.validate_matrix(entries)
+    structure = pf.classify(C)
+    return C, structure, pf.centrality_profile(C, structure)
+
+
+class TestExactStarRule:
+    @pytest.mark.parametrize("delta", [1e-9, 1e-10, 1e-11, 1e-12, 1e-14, 1e-16])
+    def test_near_star_prediction_is_the_assembled_sink(self, delta):
+        # predict_limit and the assembler read one star rule: a near-star
+        # is no star, alone or as a sink holding all power
+        block = nets.near_star(5, delta)
+        C = pf.validate_matrix(block)
+        structure = pf.classify(C)
+        profile = pf.centrality_profile(C, structure)
+        prediction = pf.predict_limit(C, structure, profile, np.full(5, 0.2))
+        assert prediction.kind == "unique_interior"
+        _, sinks, sink_profile = beside_a_pair(block)
+        assert sinks.centers == (None, None)
+        x = pf.assemble_multisink_equilibrium(sinks, sink_profile, [1.0, 0.0])
+        assert np.max(np.abs(prediction.x_star - x[:5])) <= 1e-15
+        assert pf.fixed_point_residual(C, prediction.x_star) <= 1e-15
+
+    def test_exact_stars_are_autocrats_and_assemble_to_the_vertex(self):
+        rng = np.random.default_rng(17)
+        for n in range(3, 201):
+            block = np.zeros((n, n))
+            block[0, 1:] = rng.uniform(0.1, 1.0, n - 1)
+            block[0] /= block[0].sum()
+            block[1:, 0] = 1.0
+            C = pf.validate_matrix(block)
+            structure = pf.classify(C)
+            profile = pf.centrality_profile(C, structure)
+            prediction = pf.predict_limit(C, structure, profile, np.full(n, 1.0 / n))
+            assert (prediction.kind, prediction.center) == ("star_autocrat", 1)
+            full, sinks, sink_profile = beside_a_pair(block)
+            assert sinks.centers == (1, None)
+            x = pf.assemble_multisink_equilibrium(sinks, sink_profile, [1.0, 0.0])
+            vertex = np.zeros(n + 3)
+            vertex[0] = 1.0
+            assert np.array_equal(x, vertex)
+            assert pf.fixed_point_residual(full, x) == 0.0
+
+
+class TestCheckInterior:
+    def test_three_node_checks(self):
+        C = nets.three_node()
+        c = nets.THREE_NODE_CENTRALITY
+        x = pf.solve_interior_equilibrium(c, 1.0)
+        sink = np.arange(3)
+        check = pf.check_interior(C, x, sink, c)
+        a = x[0] * (1.0 - x[0]) / c[0]
+        assert check.alpha == pytest.approx(a, abs=1e-15)
+        assert check.alpha == pytest.approx(270.0 / 529.0, abs=1e-15)
+        assert check.residual <= 1e-15
+        assert check.ordering_consistent
+        # the powers in reverse order: the top score gets the least power
+        assert not pf.check_interior(C, x[::-1], sink, c).ordering_consistent
 
 
 class TestCompareModels:

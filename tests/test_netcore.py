@@ -291,7 +291,7 @@ class TestGloballyReachableSet:
         assert _globally_reachable_set(nets.two_sink_five()) == ()
 
 
-def _star_center_per_node(C, nodes=None, eps=pf.EPS_VALIDATION):
+def _star_center_per_node(C, nodes=None):
     """Reference: the star predicate tested one candidate at a time."""
     idx = np.arange(C.n) if nodes is None else np.asarray(sorted(nodes), dtype=int) - 1
     k = idx.size
@@ -300,7 +300,7 @@ def _star_center_per_node(C, nodes=None, eps=pf.EPS_VALIDATION):
     sub = C.entries[np.ix_(idx, idx)]
     for p in range(k):
         others = np.arange(k) != p
-        if np.all(sub[others, p] >= 1.0 - eps) and np.all(sub[p, others] > 0.0):
+        if np.all(sub[others, p] == 1.0) and np.all(sub[p, others] > 0.0):
             return int(idx[p]) + 1
     return None
 
@@ -341,7 +341,7 @@ class TestStarCenter:
         C = pf.build_star(7)
         h = pf.star_center(C)
         rows = [i for i in range(7) if i != h - 1]
-        assert np.all(C.entries[rows, h - 1] >= 1.0 - pf.EPS_VALIDATION)
+        assert np.all(C.entries[rows, h - 1] == 1.0)
 
     def test_matches_definition_on_random_groups(self):
         rng = np.random.default_rng(21)
@@ -359,13 +359,19 @@ class TestStarCenter:
                 nodes = sorted(rng.choice(np.arange(1, n + 1), size, replace=False).tolist())
                 assert pf.star_center(C, nodes) == _star_center_per_node(C, nodes)
 
-    def test_near_star_at_the_tolerance(self):
+    def test_near_star_is_not_a_star(self):
+        # a leaf weight one ulp below 1.0 already breaks the pattern
         rng = np.random.default_rng(22)
         for _ in range(20):
             n = int(rng.integers(4, 20))
             center = int(rng.integers(n))
-            for shift, expected in ((1e-12, center + 1), (-1e-12, None)):
-                C = _random_star(rng, n, center, 1.0 - pf.EPS_VALIDATION + shift)
+            for leaf_weight, expected in (
+                (1.0, center + 1),
+                (1.0 - 1e-9, None),
+                (1.0 - 1e-12, None),
+                (float(np.nextafter(1.0, 0.0)), None),
+            ):
+                C = _random_star(rng, n, center, leaf_weight)
                 assert _star_center_per_node(C) == expected
                 assert pf.star_center(C) == expected
 
@@ -390,14 +396,19 @@ class TestStarCenter:
             assert pf.star_center(C, nodes) is None
             assert _star_center_per_node(C, nodes) is None
 
-    def test_first_of_two_hubs_wins(self):
-        # with eps = 0.6 a column qualifies at 0.4: nodes 2 and 3 both do
-        C = pf.validate_matrix([[0, 0.5, 0.5], [0.2, 0, 0.8], [0.2, 0.8, 0]])
-        assert pf.star_center(C, eps=0.6) == _star_center_per_node(C, eps=0.6) == 2
-        # every node of the uniform triangle qualifies
+    def test_centre_in_any_position(self):
+        # the centre is the first member or the one member the first gives
+        # 1.0 to; no other candidate exists
+        for center in range(3):
+            entries = np.zeros((3, 3))
+            entries[:, center] = 1.0
+            entries[center] = 0.5
+            entries[center, center] = 0.0
+            C = pf.validate_matrix(entries)
+            assert pf.star_center(C) == _star_center_per_node(C) == center + 1
+        # no member of the uniform triangle is a centre
         C = pf.validate_matrix([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]])
-        assert pf.star_center(C, eps=0.6) == _star_center_per_node(C, eps=0.6) == 1
-        assert pf.star_center(C, [3, 2, 1], eps=0.6) == 1
+        assert pf.star_center(C) is None
 
 
 class TestClassify:

@@ -1,7 +1,7 @@
-"""One table of the seven structural regimes, checked through the library
-(`classify`, `centrality_profile`, `predict_limit`) and the `classify` and
-`equilibrium` commands, plus the closed classes every structure carries as
-`sink_index`."""
+"""One table of the seven structural regimes and a near-star, checked
+through the library (`classify`, `centrality_profile`, `predict_limit`) and
+the `classify` and `equilibrium` commands, plus the closed classes every
+structure carries as `sink_index`."""
 
 import dataclasses
 
@@ -46,7 +46,8 @@ class Regime:
     center: object
     support: object
     # the stdout of `powerflow equilibrium`; RESIDUAL stands for the line
-    # rendering fixed_point_residual of the predicted point
+    # rendering fixed_point_residual of the predicted point, X_STAR and ALPHA
+    # for the lines rendering that point and its alpha
     lines: list
     # the stdout of `powerflow classify`
     classify: list
@@ -78,6 +79,16 @@ REGIMES = [
          *INTERIOR_LINES],
         classify=["nodes: 3", "structure: irreducible",
                   "centrality: [0.444444444444, 0.333333333333, 0.222222222222]"],
+    ),
+    # leaves give 1 - 1e-10 to node 1: no star, so the interior point.  Its
+    # small powers move by some 1e-6 relative per ulp of c_top, so they are
+    # rendered from the library rather than pinned
+    Regime(
+        "irreducible-near-star", nets.near_star(5, 1e-10), "unique_interior",
+        IRREDUCIBLE_NOTE, None, (1, 2, 3, 4, 5),
+        ["regime: irreducible", "X_STAR", "ALPHA", "RESIDUAL", "ordering check: PASS"],
+        classify=["nodes: 5", "structure: irreducible",
+                  "centrality: [0.499999999975" + ", 0.125000000006" * 4 + "]"],
     ),
     Regime(
         "reachable-pair", nets.REACHABLE_PAIR, "two_node_family",
@@ -189,9 +200,16 @@ def test_equilibrium_command_stdout(regime, capsys, tmp_path):
     expected = [regime.lines[0], "fixed points: every autocratic vertex e_i", *regime.lines[1:]]
     if "RESIDUAL" in expected:
         structure = pf.classify(C)
-        x_star = reference_x_star(C, structure, pf.centrality_profile(C, structure))
-        residual = format(fixed_point_residual(C, x_star), ".12g")
-        expected[expected.index("RESIDUAL")] = f"residual: {residual}"
+        profile = pf.centrality_profile(C, structure)
+        x_star = reference_x_star(C, structure, profile)
+        check = pf.check_interior(C, x_star, structure.sink_index[0], profile.per_sink[0])
+        rendered = {
+            "X_STAR": "interior equilibrium: ["
+            + ", ".join(format(v, ".12g") for v in x_star) + "]",
+            "ALPHA": f"alpha: {format(check.alpha, '.12g')}",
+            "RESIDUAL": f"residual: {format(check.residual, '.12g')}",
+        }
+        expected = [rendered.get(line, line) for line in expected]
     assert equilibrium_stdout(capsys, path) == expected
 
 

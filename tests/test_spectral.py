@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powerflow as pf
+from powerflow.cli import main
 
 import nets
 
@@ -159,3 +160,33 @@ def test_reducible_input_raises_with_residual(M):
         pf.dominant_left_eigenvector(np.array(M))
     assert info.value.residual is not None
     assert "iterations" not in str(info.value)
+
+
+def biased_path(n, eps):
+    """Node 1 gives 1 to node 2; node i gives 1 - eps to i - 1 and eps to
+    i + 1; node n gives 1 to n - 1.  Detailed balance makes the scores fall
+    geometrically with ratio eps / (1 - eps), to about 2.4e-37 at n = 40 and
+    eps = 0.1."""
+    entries = np.zeros((n, n))
+    entries[0, 1] = entries[n - 1, n - 2] = 1.0
+    for i in range(1, n - 1):
+        entries[i, i - 1] = 1.0 - eps
+        entries[i, i + 1] = eps
+    return pf.validate_matrix(entries)
+
+
+def test_non_positive_score_is_named(tmp_path, capsys):
+    # LU's absolute error exceeds the tiny true scores, so some come out
+    # non-positive although the residual meets its target
+    C = biased_path(40, 0.1)
+    with pytest.raises(pf.errors.NoConvergenceError, match="not strictly positive") as info:
+        pf.dominant_left_eigenvector(C.entries)
+    error = info.value
+    assert error.residual < pf.EPS_SPECTRAL
+    assert str(error).startswith("solve met its residual target, but score ")
+    path = tmp_path / "path.txt"
+    pf.write_matrix(C, path)
+    assert main(["centrality", "--network", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
