@@ -222,6 +222,18 @@ def test_unreadable_network_file_exits_2(tmp_path, command, kind):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", ["classify", "equilibrium", "simulate"])
+def test_empty_dense_field_exits_2(tmp_path, command):
+    path = tmp_path / "empty-field.txt"
+    path.write_text("0,,1\n1,0\n")
+    result = run_powerflow(command, "--network", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: line 1: empty field: every comma must stand between two values\n"
+    )
+
+
 def test_failed_out_write_exits_1(tmp_path):
     out = tmp_path / "no-such-dir" / "traj.csv"
     result = run_powerflow("simulate", "--builder", "star:5", "--max-steps", "5", "--out", str(out))

@@ -21,13 +21,31 @@ class TestLoadDense:
         C = pf.load_network(path)
         assert np.allclose(C.entries, nets.THREE_NODE)
 
-    def test_round_trip_is_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(77)
-        C = nets.random_valid(rng, 6)
+    @pytest.mark.parametrize(
+        "seed, n, density",
+        [(77, 6, 1.0), (3, 40, 1.0), (11, 97, 0.2), (5, 300, 0.05), (8, 1000, 1.0)],
+    )
+    def test_round_trip_is_bit_identical(self, tmp_path, seed, n, density):
+        rng = np.random.default_rng(seed)
+        C = nets.random_valid(rng, n)
+        if density < 1.0:
+            # thin out all but a ring, so that no row empties
+            keep = rng.random((n, n)) < density
+            keep[np.arange(n), (np.arange(n) + 1) % n] = True
+            thinned = np.where(keep, C.entries, 0.0)
+            C = pf.validate_matrix(thinned / thinned.sum(axis=1, keepdims=True))
         path = tmp_path / "net.txt"
         pf.write_matrix(C, path)
         again = pf.load_network(path, format="dense")
-        assert np.array_equal(again.entries, C.entries)
+        assert again.entries.tobytes() == C.entries.tobytes()
+
+    @pytest.mark.parametrize("leaf", ["0.9999999999999999", "1.0000000000000002"])
+    def test_near_one_leaf_row_loads_as_star(self, tmp_path, leaf):
+        path = tmp_path / "star.txt"
+        path.write_text(f"0 .5 .5\n{leaf} 0 0\n1 0 0\n")
+        C = pf.load_network(path)
+        assert C.entries[1, 0] == 1.0
+        assert pf.classify(C).centers == (1,)
 
     def test_garbage_token_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -42,6 +60,32 @@ class TestLoadDense:
         with pytest.raises(ParseError) as err:
             pf.load_network(path)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("0,,1\n1,0\n", 1),
+            ("0,1\n1,0,\n", 2),
+            ("0 1\n,1 0\n", 2),
+            ("0, ,1\n1,0\n", 1),
+            ("0 ,\t, 1\n1 0\n", 1),
+        ],
+        ids=["double", "trailing", "leading", "space-between", "tab-between"],
+    )
+    def test_empty_field_reports_line(self, tmp_path, text, line_no):
+        path = tmp_path / "empty-field.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            pf.load_network(path)
+        assert err.value.line_no == line_no
+        assert str(err.value) == (
+            f"line {line_no}: empty field: every comma must stand between two values"
+        )
+
+    def test_commas_with_spaces_around_them(self, tmp_path):
+        path = tmp_path / "spaced.txt"
+        path.write_text("0 , 0.5,0.5\n1 ,0, 0\n0.5 0.5 , 0\n")
+        assert np.array_equal(pf.load_network(path).entries, nets.THREE_NODE)
 
     def test_bad_row_sum_propagates(self, tmp_path):
         path = tmp_path / "sum.txt"
@@ -328,16 +372,34 @@ class TestMatrixBytes:
         pf.write_matrix(C, tmp_path / "new.txt")
         _write_matrix_per_value(C, tmp_path / "ref.txt")
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
-        # the text holds the doubles exactly; loading re-validates them
+        # the text holds the doubles exactly, and loading keeps them
         text = (tmp_path / "new.txt").read_text().split()
         assert np.array(text, dtype=float).tobytes() == C.entries.tobytes()
         again = pf.load_network(tmp_path / "new.txt")
-        assert again.entries.tobytes() == pf.validate_matrix(C.entries).entries.tobytes()
-        return again
+        assert again.entries.tobytes() == C.entries.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 7, 64, 301])
     def test_random_matrices(self, tmp_path, n):
-        self._assert_same_bytes(nets.random_valid(np.random.default_rng(n), n), tmp_path)
+        C = nets.random_valid(np.random.default_rng(n), n)
+        # dense: +0.0 on the diagonal alone
+        assert np.count_nonzero(C.entries) == n * (n - 1)
+        self._assert_same_bytes(C, tmp_path)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0.0, -0.0, 1.0], [1.0, 0.0, -0.0], [-0.0, 1.0, 0.0]],
+            [[0.0, 1.0, 5e-324], [0.5, 0.0, 0.5], [5e-324, 1.0, 0.0]],
+            # each row's one nonzero in the first or the last column
+            [[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+             [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+            [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
+             [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]],
+        ],
+        ids=["negative-zero", "subnormal", "first-column", "last-column"],
+    )
+    def test_spellings(self, tmp_path, entries):
+        self._assert_same_bytes(pf.validate_matrix(entries), tmp_path)
 
     def test_large_sparse_matrix_spans_many_chunks(self, tmp_path):
         # mostly zeros, like the large files of the benchmark corpus
@@ -357,6 +419,19 @@ class TestMatrixBytes:
             monkeypatch.setattr(pf.io, "_CSV_CHUNK_VALUES", chunk_values)
             self._assert_same_bytes(C, tmp_path)
 
+    def test_write_holds_one_chunk(self, tmp_path, monkeypatch):
+        # a dense file: the Python floats of one chunk, not of the matrix
+        C = nets.random_valid(np.random.default_rng(400), 400)
+        monkeypatch.setattr(pf.io, "_CSV_CHUNK_VALUES", 4096)
+        tracemalloc.start()
+        try:
+            pf.write_matrix(C, tmp_path / "dense.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole matrix as floats and text would take over 10 MB
+        assert peak < C.entries.nbytes / 2
+
     def test_extreme_values(self, tmp_path):
         C = pf.validate_matrix([
             [0.0, 1.0 / 3.0, 2.0 / 3.0],
@@ -366,9 +441,7 @@ class TestMatrixBytes:
         assert C.entries[0, 1] == 1.0 / 3.0
         assert C.entries[1, 0] == 1.0 - 2.0**-53
         assert C.entries[2, 0] == 5e-324
-        # every row sums to exactly 1, so loading gives back C bit for bit
-        again = self._assert_same_bytes(C, tmp_path)
-        assert again.entries.tobytes() == C.entries.tobytes()
+        self._assert_same_bytes(C, tmp_path)
         lines = (tmp_path / "new.txt").read_text().splitlines()
         assert lines[1] == "0.99999999999999989 0 1.1102230246251565e-16"
         assert lines[2] == "4.9406564584124654e-324 1 0"

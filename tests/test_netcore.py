@@ -58,6 +58,35 @@ class TestValidateMatrix:
         C = pf.validate_matrix(raw)
         assert abs(C.entries[0].sum() - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("leaf", [0.9999999999999999, 1.0000000000000002])
+    def test_one_entry_row_becomes_exactly_one(self, leaf):
+        # within n eps of 1, yet the leaf listens only to the centre
+        C = pf.validate_matrix([[0, 0.5, 0.5], [leaf, 0, 0], [1, 0, 0]])
+        assert C.entries[1].tobytes() == np.array([1.0, 0.0, 0.0]).tobytes()
+        assert pf.classify(C).centers == (1,)
+
+    @pytest.mark.parametrize("ulps, kept", [(6, True), (10, True), (11, False)])
+    def test_row_within_n_eps_keeps_its_bits(self, ulps, kept):
+        n, eps = 10, np.finfo(float).eps
+        raw = np.zeros((n, n))
+        for i in range(n):  # each row sums to exactly 1 + ulps * eps
+            raw[i, (i + 1) % n] = 0.5
+            raw[i, (i + 2) % n] = 0.5 + ulps * eps
+        C = pf.validate_matrix(raw)
+        assert (C.entries.tobytes() == raw.tobytes()) == kept
+        assert np.all(np.abs(C.entries.sum(axis=1) - 1.0) <= n * eps)
+
+    def test_validation_is_idempotent(self):
+        rng = np.random.default_rng(2026)
+        for n in (3, 17, 130, 600):
+            raw = rng.random((n, n)) * (rng.random((n, n)) < 0.3) + np.eye(n, k=1)
+            raw[-1, 0] = 1.0
+            np.fill_diagonal(raw, 0.0)
+            raw /= raw.sum(axis=1, keepdims=True)
+            raw *= 1.0 + rng.uniform(-1e-11, 1e-11, (n, 1))
+            C = pf.validate_matrix(raw)
+            assert pf.validate_matrix(C.entries).entries.tobytes() == C.entries.tobytes()
+
     def test_diagonal_dust_cleared(self):
         raw = np.array(nets.THREE_NODE)
         raw[0, 0] = 1e-12
