@@ -233,10 +233,9 @@ def cmd_simulate(args) -> int:
         netio.write_trajectory_csv(trajectory, args.out)
         print(f"wrote trajectory: {args.out}")
     elif not args.quiet:
-        # one format per row; "%.12g" is _fmt's format
-        row_format = "%d," + ",".join(["%.12g"] * C.n)
-        for t, state in zip(trajectory.steps.tolist(), trajectory.states):
-            print(row_format % (t, *state.tolist()))
+        # the trajectory CSV's row writer, at _fmt's format "%.12g"
+        row_format = "%d," + ",".join(["%.12g"] * C.n) + "\n"
+        netio._write_rows(sys.stdout, row_format, [trajectory.steps[:, None], trajectory.states])
     _print_summary(C, structure, trajectory)
     return 0
 
@@ -321,25 +320,28 @@ def cmd_compare(args) -> int:
         eps_conv=args.tol, max_steps=args.max_steps,
         record_every=args.record_every, structure=structure,
     )
+    st, df = report.trajectory_st, report.trajectory_df
+    if args.out:
+        # written before the first line of output: a failed write prints none
+        paths = (f"{args.out}.st.csv", f"{args.out}.df.csv")
+        netio.write_trajectory_csv(st, paths[0])
+        netio.write_trajectory_csv(df, paths[1])
     print(f"regime: {report.regime}")
-    print(f"steps: st={report.steps_st} df={report.steps_df}")
+    print(f"steps: st={st.total_steps} df={df.total_steps}")
     if report.limit_distance < 1e-6:
         print(f"limits agree (dist {report.limit_distance:.3g})")
     else:
-        st_label = _pretty_limit(report.limit_st)
-        df_label = _pretty_limit(report.limit_df)
+        st_label = _pretty_limit(st.final_state)
+        df_label = _pretty_limit(df.final_state)
         tail = "" if st_label == df_label else f": {st_label} vs {df_label}"
         print(f"limits differ (dist {report.limit_distance:.3g}){tail}")
-    print(f"limit st: {_fmt_vec(report.limit_st)}")
-    print(f"limit df: {_fmt_vec(report.limit_df)}")
-    if report.sink_power_st is not None:
-        print(f"sink power st: {_fmt_vec(report.sink_power_st)}")
-        print(f"sink power df: {_fmt_vec(report.sink_power_df)}")
+    print(f"limit st: {_fmt_vec(st.final_state)}")
+    print(f"limit df: {_fmt_vec(df.final_state)}")
+    if st.sink_power is not None:
+        print(f"sink power st: {_fmt_vec(st.sink_power[-1])}")
+        print(f"sink power df: {_fmt_vec(df.sink_power[-1])}")
     if args.out:
-        base = args.out
-        netio.write_trajectory_csv(report.trajectory_st, f"{base}.st.csv")
-        netio.write_trajectory_csv(report.trajectory_df, f"{base}.df.csv")
-        print(f"wrote trajectories: {base}.st.csv {base}.df.csv")
+        print(f"wrote trajectories: {paths[0]} {paths[1]}")
     return 0
 
 

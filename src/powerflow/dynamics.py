@@ -321,7 +321,6 @@ class _Recording:
 @dataclass(frozen=True)
 class Converged:
     at: int
-    limit: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -496,7 +495,7 @@ def simulate(
     if v0 is not None and fixed_point_deviation(x) <= eps_simplex:
         status = VertexAbsorbed(vertex=v0, at=0)
     elif n == 2:
-        status = Converged(at=0, limit=x.copy())
+        status = Converged(at=0)
     else:
         buf = np.empty((_MAX_BLOCK + 1, n))
         buf[0] = x
@@ -535,7 +534,7 @@ def simulate(
                     ) <= eps_simplex:
                         status = VertexAbsorbed(vertex=vi, at=t + j)
                     elif deltas[j - 1] < eps_conv:
-                        status = Converged(at=t + j, limit=rows[j].copy())
+                        status = Converged(at=t + j)
                     else:
                         continue
                     end = j

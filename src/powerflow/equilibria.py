@@ -15,7 +15,10 @@ multi-sink network from a given split of power among the sinks, with that
 one solver for every sink of two or more nodes (holding all power, a star
 sink is its centre's vertex and a two-node sink the family (a, 1-a));
 :func:`check_interior` checks a solved interior point; :func:`compare_models`
-runs both update rules from one initial state.
+runs both update rules from one initial state and returns the two
+trajectories, the distance between their limits and the regime.  Each
+result holds a value once: limits, step counts and sink totals are read
+from the trajectories, and :func:`regime_name` describes the regime.
 """
 
 from __future__ import annotations
@@ -193,37 +196,22 @@ KIND_MULTI_SINK_FAMILY = "multi_sink_family"
 class EquilibriumPrediction:
     """Predicted limit of the single-timescale dynamics for one run.
 
-    kind: one of "vertex" (autocratic start stays put), "star_autocrat"
-        (power concentrates on the star center), "unique_interior" (x_star
-        holds the solved point), "two_node_family" (the split between the
-        two supporting nodes depends on the transient) or
-        "multi_sink_family" (the sink power split depends on the
-        trajectory; use simulation plus the assembler to realize a member).
-    provenance: short human-readable regime note.
+    kind: one of "vertex" (autocratic start stays put, at `vertex`),
+        "star_autocrat" (power concentrates on the star `center`),
+        "unique_interior" (x_star holds the solved point), "two_node_family"
+        (the split between the two supporting nodes depends on the
+        transient) or "multi_sink_family" (the sink power split depends on
+        the trajectory; use simulation plus the assembler to realize a
+        member).  :func:`regime_name` describes the regime itself.
+    support: the 1-based nodes that can hold power in the limit, for the
+        interior point and the two families.
     """
 
     kind: str
-    provenance: str
     vertex: Optional[int] = None
     center: Optional[int] = None
     x_star: Optional[np.ndarray] = None
     support: Optional[tuple[int, ...]] = None
-
-
-# provenance of the two-node family, the star and the interior point, for a
-# sink that is the whole network (True) or a globally reachable set (False)
-_SINGLE_SINK_NOTES = {
-    True: (
-        "two-member group: every interior point is fixed",
-        "star pattern: power concentrates on the center",
-        "strongly connected non-star: unique interior equilibrium, independent of the start",
-    ),
-    False: (
-        "two reachable nodes absorb all power; their split depends on the transient",
-        "star pattern on the reachable set: power concentrates on its center",
-        "reachable set absorbs all power; unique equilibrium supported there",
-    ),
-}
 
 
 def predict_limit(
@@ -250,34 +238,21 @@ def predict_limit(
     x0 = check_simplex(x0)
     v = vertex_index(x0)
     if v is not None:
-        return EquilibriumPrediction(
-            kind=KIND_VERTEX,
-            provenance="autocratic start: every vertex is a fixed point",
-            vertex=v,
-        )
+        return EquilibriumPrediction(kind=KIND_VERTEX, vertex=v)
     sink = single_sink(structure)
     if sink is None:
         return EquilibriumPrediction(
             kind=KIND_MULTI_SINK_FAMILY,
-            provenance="multiple sinks: any split of power among the sinks can "
-            "be an equilibrium; the realized split comes from simulation",
             support=tuple(v for nodes in structure.sinks for v in nodes),
         )
-    pair_note, star_note, interior_note = _SINGLE_SINK_NOTES[sink.whole]
     support = tuple((sink.index + 1).tolist())
     if sink.index.size == 2:
-        return EquilibriumPrediction(
-            kind=KIND_TWO_NODE_FAMILY, provenance=pair_note, support=support
-        )
+        return EquilibriumPrediction(kind=KIND_TWO_NODE_FAMILY, support=support)
     if sink.center is not None:
-        return EquilibriumPrediction(
-            kind=KIND_STAR_AUTOCRAT, provenance=star_note, center=sink.center
-        )
+        return EquilibriumPrediction(kind=KIND_STAR_AUTOCRAT, center=sink.center)
     x_star = np.zeros(structure.n)
     x_star[sink.index] = solve_interior_equilibrium(profile.per_sink[0], 1.0, eps)
-    return EquilibriumPrediction(
-        kind=KIND_UNIQUE_INTERIOR, provenance=interior_note, x_star=x_star, support=support
-    )
+    return EquilibriumPrediction(kind=KIND_UNIQUE_INTERIOR, x_star=x_star, support=support)
 
 
 def assemble_multisink_equilibrium(
@@ -395,23 +370,16 @@ def _ordering_consistent(x_star, c) -> bool:
 class ComparisonReport:
     """Outcome of running both update rules from the same start.
 
-    per_step_distance holds the max-norm gap between the two recorded
-    trajectories at matching recorded steps (up to the shorter run);
-    sink_power_st / sink_power_df the final per-sink totals on multi-sink
-    networks.
+    Each limit, step count and final per-sink total is read from its
+    trajectory: `final_state`, `total_steps` and `sink_power[-1]` (multi-sink
+    networks only).  limit_distance is the max-norm gap between the two
+    limits; regime is :func:`regime_name` of the network.
     """
 
     trajectory_st: Trajectory
     trajectory_df: Trajectory
-    limit_st: np.ndarray
-    limit_df: np.ndarray
     limit_distance: float
-    steps_st: int
-    steps_df: int
-    per_step_distance: np.ndarray
     regime: str
-    sink_power_st: Optional[np.ndarray] = None
-    sink_power_df: Optional[np.ndarray] = None
 
 
 def compare_models(
@@ -423,7 +391,7 @@ def compare_models(
     record_every: int = 1,
     structure: Optional[NetworkStructure] = None,
 ) -> ComparisonReport:
-    """Run both update rules from the same x0 and report their limits.
+    """Run both update rules from the same x0 and report their trajectories.
 
     On strongly connected networks (and from non-autocratic starts on
     single-sink reducible ones) the two limits agree; autocratic starts on
@@ -440,23 +408,9 @@ def compare_models(
         ORIGINAL_DF, C, x0, eps_conv=eps_conv, max_steps=max_steps,
         record_every=record_every, structure=structure,
     )
-    limit_st = traj_st.final_state
-    limit_df = traj_df.final_state
-    shared = min(traj_st.states.shape[0], traj_df.states.shape[0])
-    per_step = np.max(
-        np.abs(traj_st.states[:shared] - traj_df.states[:shared]), axis=1
-    )
-    multi = isinstance(structure, MultiSink)
     return ComparisonReport(
         trajectory_st=traj_st,
         trajectory_df=traj_df,
-        limit_st=limit_st,
-        limit_df=limit_df,
-        limit_distance=float(np.max(np.abs(limit_st - limit_df))),
-        steps_st=traj_st.total_steps,
-        steps_df=traj_df.total_steps,
-        per_step_distance=per_step,
+        limit_distance=float(np.max(np.abs(traj_st.final_state - traj_df.final_state))),
         regime=regime_name(structure),
-        sink_power_st=traj_st.sink_power[-1] if multi else None,
-        sink_power_df=traj_df.sink_power[-1] if multi else None,
     )

@@ -123,11 +123,8 @@ def _parse_adjacency(lines: list[tuple[int, str]]) -> RelativeInteractionMatrix:
             raise ParseError(line_no, "advisor ids must be integers") from None
         if any(j < 1 for j in targets):
             raise ParseError(line_no, "node ids are 1-based")
-        seen: list[int] = []
-        for j in targets:
-            if j != node and j not in seen:  # drop self-nominations and repeats
-                seen.append(j)
-        advice[node] = seen
+        # drop self-nominations and repeats, keeping first-listed order
+        advice[node] = list(dict.fromkeys(j for j in targets if j != node))
         max_node = max(max_node, node, *targets) if targets else max(max_node, node)
     n = max_node
     entries = np.zeros((n, n))

@@ -121,14 +121,12 @@ def centrality_profile(
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
-    """Influence matrix W(x) = diag(x) + (I - diag(x)) C with its source x."""
+    """Influence matrix W(x) = diag(x) + (I - diag(x)) C."""
 
     entries: np.ndarray
-    source_x: np.ndarray
 
     def __post_init__(self) -> None:
         self.entries.setflags(write=False)
-        self.source_x.setflags(write=False)
 
 
 def influence_matrix(C: RelativeInteractionMatrix, x) -> InfluenceMatrix:
@@ -140,4 +138,4 @@ def influence_matrix(C: RelativeInteractionMatrix, x) -> InfluenceMatrix:
     x = np.asarray(x, dtype=float)
     W = (1.0 - x)[:, None] * C.entries
     np.fill_diagonal(W, x)
-    return InfluenceMatrix(entries=W, source_x=x.copy())
+    return InfluenceMatrix(entries=W)

@@ -225,6 +225,85 @@ class TestCompareCommand:
         assert (tmp_path / "cmp.df.csv").exists()
 
 
+# stdout of `compare --network <two_sink_six> --x0 random:5 --record-every 3
+# --out {base}`
+COMPARE_TWO_SINK_SIX = """\
+regime: multi-sink(K=2)
+steps: st=17 df=21
+limits differ (dist 0.0893): [0.293520234592, 0.293520234592, 0.19289306727, \
+0.134984930314, 0.0850815332318, 0] vs [0.208333333333, 0.208333333333, \
+0.2821706702, 0.186811218765, 0.114351444368, 0]
+limit st: [0.293520234592, 0.293520234592, 0.19289306727, 0.134984930314, 0.0850815332318, 0]
+limit df: [0.208333333333, 0.208333333333, 0.2821706702, 0.186811218765, 0.114351444368, 0]
+sink power st: [0.587040469185, 0.412959530815]
+sink power df: [0.416666666667, 0.583333333333]
+wrote trajectories: {base}.st.csv {base}.df.csv
+"""
+
+# stdout of `compare --network <reducible_star_ten> --x0 vertex:10 --max-steps 4000`
+COMPARE_REDUCIBLE_STAR = """\
+regime: reachable-star(center=1)
+steps: st=0 df=4000
+limits differ (dist 1): e_10 vs e_1
+limit st: [0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+limit df: [0.999714364542""" + ", 3.57044322168e-05" * 8 + """, 0]
+"""
+
+
+class TestOutputBytes:
+    """Byte-exact stdout of `compare` and of `simulate`'s rows on fixed
+    inputs.  The 17-digit CSV bodies are checked against the library's own
+    run instead of pinned, as the st kernel's BLAS product may round
+    differently on another CPU."""
+
+    def test_compare_multi_sink_with_out(self, capsys, tmp_path):
+        path = tmp_path / "net.txt"
+        C = nets.two_sink_six()
+        pf.write_matrix(C, path)
+        base = tmp_path / "P"
+        code, out, err = run_cli(
+            capsys, "compare", "--network", str(path), "--x0", "random:5",
+            "--record-every", "3", "--out", str(base),
+        )
+        assert (code, err) == (0, "")
+        assert out == COMPARE_TWO_SINK_SIX.format(base=base)
+        x0 = np.random.default_rng(5).exponential(1.0, 6)
+        report = pf.compare_models(C, x0 / x0.sum(), record_every=3)
+        for model, trajectory, last in (
+            ("st", report.trajectory_st, 17), ("df", report.trajectory_df, 21)
+        ):
+            pf.write_trajectory_csv(trajectory, tmp_path / "ref.csv")
+            written = (tmp_path / f"P.{model}.csv").read_text()
+            assert written == (tmp_path / "ref.csv").read_text()
+            lines = written.splitlines()
+            assert lines[0] == "t,x_1,x_2,x_3,x_4,x_5,x_6,zeta_1,zeta_2"
+            steps = [*range(0, last, 3), last]
+            assert [line.split(",")[0] for line in lines[1:-1]] == [str(t) for t in steps]
+            assert lines[-1] == f"# status=converged at={last}"
+
+    def test_compare_reducible_star(self, capsys, tmp_path):
+        path = tmp_path / "net.txt"
+        pf.write_matrix(nets.reducible_star_ten(), path)
+        code, out, err = run_cli(
+            capsys, "compare", "--network", str(path), "--x0", "vertex:10",
+            "--max-steps", "4000",
+        )
+        assert (code, out, err) == (0, COMPARE_REDUCIBLE_STAR, "")
+
+    def test_simulate_rows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--builder", "ds:6:42", "--record-every", "2",
+            "--max-steps", "300",
+        )
+        assert (code, err) == (0, "")
+        # uniform is the fixed point of a doubly stochastic network
+        assert out.splitlines()[:3] == [
+            "0" + ",0.166666666667" * 6,
+            "1" + ",0.166666666667" * 6,
+            "status: converged at step 1",
+        ]
+
+
 def test_log_env_variable_accepted(capsys, monkeypatch):
     monkeypatch.setenv("POWERFLOW_LOG", "debug")
     code, out, _ = run_cli(capsys, "classify", "--builder", "ring:3")

@@ -1,6 +1,7 @@
 """Bad --zeta, --max-steps, --record-every and --tol values and unreadable
 network files end as input errors (exit 2, a one-line message on stderr, no
-traceback), checked in fresh interpreters."""
+traceback), and an --out that cannot be written as a runtime error (exit 1,
+nothing on stdout), checked in fresh interpreters."""
 
 import os
 import subprocess
@@ -234,9 +235,13 @@ def test_empty_dense_field_exits_2(tmp_path, command):
     )
 
 
-def test_failed_out_write_exits_1(tmp_path):
-    out = tmp_path / "no-such-dir" / "traj.csv"
-    result = run_powerflow("simulate", "--builder", "star:5", "--max-steps", "5", "--out", str(out))
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_failed_out_write_exits_1(tmp_path, command):
+    # the files are written before the first line of output, so none is printed
+    out = tmp_path / "no-such-dir" / "traj"
+    result = run_powerflow(command, "--builder", "star:5", "--max-steps", "5", "--out", str(out))
     assert result.returncode == 1
-    assert result.stderr.startswith("error: [Errno 2] ")
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: [Errno 2] No such file or directory: '{out}")
     assert "Traceback" not in result.stderr

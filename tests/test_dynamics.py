@@ -547,8 +547,6 @@ class TestBlockedEngine:
         assert np.array_equal(traj.steps, steps)
         assert np.array_equal(traj.step_deltas, deltas)
         assert _status_key(traj.status) == status
-        if isinstance(traj.status, pf.Converged):
-            assert np.array_equal(traj.status.limit, traj.final_state)
 
     @pytest.mark.parametrize(
         "make", [nets.two_sink_six, lambda: _two_large_sinks(np.random.default_rng(3))]

@@ -591,24 +591,25 @@ class TestCompareModels:
         e10 = np.zeros(10)
         e10[9] = 1.0
         report = pf.compare_models(C, e10, max_steps=4000)
-        assert np.array_equal(report.limit_st, e10)
+        assert np.array_equal(report.trajectory_st.final_state, e10)
         e1 = np.zeros(10)
         e1[0] = 1.0
-        assert np.max(np.abs(report.limit_df - e1)) < 1e-3
+        assert np.max(np.abs(report.trajectory_df.final_state - e1)) < 1e-3
         assert report.limit_distance > 0.5
 
     def test_multi_sink_splits_differ(self):
         C = nets.two_sink_six()
         x0 = np.array([0.05, 0.05, 0.05, 0.05, 0.05, 0.75])
         report = pf.compare_models(C, x0)
-        assert report.sink_power_st is not None
-        assert np.max(np.abs(report.sink_power_st - report.sink_power_df)) > 1e-3
+        zeta_st = report.trajectory_st.sink_power[-1]
+        zeta_df = report.trajectory_df.sink_power[-1]
+        assert np.max(np.abs(zeta_st - zeta_df)) > 1e-3
 
     def test_per_step_distance_starts_at_zero(self):
         report = pf.compare_models(nets.three_node(), np.array([0.2, 0.3, 0.5]))
-        assert report.per_step_distance[0] == 0.0
-        assert report.steps_st >= 1
-        assert report.steps_df >= 1
+        assert np.array_equal(report.trajectory_st.states[0], report.trajectory_df.states[0])
+        assert report.trajectory_st.total_steps >= 1
+        assert report.trajectory_df.total_steps >= 1
 
     def test_single_timescale_needs_more_steps_and_wiggles_more(self):
         # the qualitative regime claim, checked where convergence is
@@ -617,7 +618,7 @@ class TestCompareModels:
         C = nets.synthetic_reduced_krackhardt()
         x0 = nets.random_interior(np.random.default_rng(2), 17)
         report = pf.compare_models(C, x0)
-        assert report.steps_st >= report.steps_df
+        assert report.trajectory_st.total_steps >= report.trajectory_df.total_steps
         assert report.limit_distance < 1e-8
 
         def increment_reversals(trajectory):

@@ -24,11 +24,6 @@ REACHABLE_INTERIOR = [
     [0.0, 0.5, 0.5, 0.0],
 ]
 
-IRREDUCIBLE_NOTE = (
-    "strongly connected non-star: unique interior equilibrium, independent "
-    "of the start"
-)
-REACHABLE_NOTE = "reachable set absorbs all power; unique equilibrium supported there"
 # the three-node equilibrium is (15, 5, 3) / 23, with x_i (1 - x_i) / c_i = 270/529
 INTERIOR_LINES = [
     f"alpha: {format(270 / 529, '.12g')}",
@@ -42,7 +37,6 @@ class Regime:
     name: str
     matrix: object
     kind: str
-    provenance: str
     center: object
     support: object
     # the stdout of `powerflow equilibrium`; RESIDUAL stands for the line
@@ -55,8 +49,7 @@ class Regime:
 
 REGIMES = [
     Regime(
-        "irreducible-pair", TWO_NODE, "two_node_family",
-        "two-member group: every interior point is fixed", None, (1, 2),
+        "irreducible-pair", TWO_NODE, "two_node_family", None, (1, 2),
         ["regime: irreducible-pair",
          "interior equilibria: every interior point (two-node network)"],
         classify=["nodes: 2", "structure: irreducible",
@@ -64,16 +57,14 @@ REGIMES = [
                   "centrality: [0.5, 0.5]"],
     ),
     Regime(
-        "irreducible-star", nets.STAR3, "star_autocrat",
-        "star pattern: power concentrates on the center", 1, None,
+        "irreducible-star", nets.STAR3, "star_autocrat", 1, None,
         ["regime: irreducible-star(center=1)",
          "autocrat at node 1; interior equilibria: none"],
         classify=["nodes: 3", "structure: irreducible", "star center: 1",
                   "centrality: [0.5, 0.25, 0.25]"],
     ),
     Regime(
-        "irreducible-interior", nets.THREE_NODE, "unique_interior",
-        IRREDUCIBLE_NOTE, None, (1, 2, 3),
+        "irreducible-interior", nets.THREE_NODE, "unique_interior", None, (1, 2, 3),
         ["regime: irreducible",
          "interior equilibrium: [0.652173913043, 0.217391304348, 0.130434782609]",
          *INTERIOR_LINES],
@@ -84,16 +75,13 @@ REGIMES = [
     # small powers move by some 1e-6 relative per ulp of c_top, so they are
     # rendered from the library rather than pinned
     Regime(
-        "irreducible-near-star", nets.near_star(5, 1e-10), "unique_interior",
-        IRREDUCIBLE_NOTE, None, (1, 2, 3, 4, 5),
+        "irreducible-near-star", nets.near_star(5, 1e-10), "unique_interior", None, (1, 2, 3, 4, 5),
         ["regime: irreducible", "X_STAR", "ALPHA", "RESIDUAL", "ordering check: PASS"],
         classify=["nodes: 5", "structure: irreducible",
                   "centrality: [0.499999999975" + ", 0.125000000006" * 4 + "]"],
     ),
     Regime(
-        "reachable-pair", nets.REACHABLE_PAIR, "two_node_family",
-        "two reachable nodes absorb all power; their split depends on the transient",
-        None, (1, 2),
+        "reachable-pair", nets.REACHABLE_PAIR, "two_node_family", None, (1, 2),
         ["regime: reachable-pair",
          "equilibrium family: (alpha, 1-alpha) on nodes 1, 2, zero elsewhere; "
          "alpha depends on the trajectory"],
@@ -102,8 +90,7 @@ REGIMES = [
                   "centrality: [0.5, 0.5, 0]"],
     ),
     Regime(
-        "reachable-star", nets.reducible_star_ten().entries, "star_autocrat",
-        "star pattern on the reachable set: power concentrates on its center", 1, None,
+        "reachable-star", nets.reducible_star_ten().entries, "star_autocrat", 1, None,
         ["regime: reachable-star(center=1)",
          "autocrat at node 1; interior equilibria: none"],
         classify=["nodes: 10", "structure: reducible, globally reachable set of size 9",
@@ -113,8 +100,7 @@ REGIMES = [
                   "centrality: [0.5" + ", 0.0625" * 8 + ", 0]"],
     ),
     Regime(
-        "reachable-interior", REACHABLE_INTERIOR, "unique_interior",
-        REACHABLE_NOTE, None, (2, 3, 4),
+        "reachable-interior", REACHABLE_INTERIOR, "unique_interior", None, (2, 3, 4),
         ["regime: reachable(r=3)",
          "interior equilibrium: [0, 0.652173913043, 0.217391304348, 0.130434782609]",
          *INTERIOR_LINES],
@@ -123,10 +109,7 @@ REGIMES = [
                   "centrality: [0, 0.444444444444, 0.333333333333, 0.222222222222]"],
     ),
     Regime(
-        "multi-sink", nets.two_sink_six().entries, "multi_sink_family",
-        "multiple sinks: any split of power among the sinks can be an "
-        "equilibrium; the realized split comes from simulation",
-        None, (1, 2, 3, 4, 5),
+        "multi-sink", nets.two_sink_six().entries, "multi_sink_family", None, (1, 2, 3, 4, 5),
         ["regime: multi-sink(K=2)",
          "equilibrium family: one equilibrium per split of power among the 2 "
          "sinks; pass --zeta to assemble one",
@@ -167,7 +150,6 @@ def test_predict_limit_fields(regime):
     profile = pf.centrality_profile(C, structure)
     prediction = pf.predict_limit(C, structure, profile, np.full(C.n, 1.0 / C.n))
     assert prediction.kind == regime.kind
-    assert prediction.provenance == regime.provenance
     assert prediction.center == regime.center
     assert prediction.support == regime.support
     assert prediction.vertex is None
