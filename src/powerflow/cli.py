@@ -46,17 +46,10 @@ from .netcore import RelativeInteractionMatrix, classify, single_sink
 from .spectral import centrality_profile
 
 # The dynamics and equilibria modules load only in the commands that run
-# them.  The library functions those commands call stay resolvable here as
+# them, each importing what it calls from the defining module.  perfbench's
+# tracer wraps these names on this module, so they stay resolvable here as
 # module attributes, through the package's lazy exports.
-_DEFERRED = frozenset({
-    "simulate",
-    "vertex_index",
-    "assemble_multisink_equilibrium",
-    "compare_models",
-    "fixed_point_residual",
-    "regime_name",
-    "solve_interior_equilibrium",
-})
+_DEFERRED = frozenset({"simulate", "compare_models", "solve_interior_equilibrium"})
 
 
 def __getattr__(name):
@@ -172,11 +165,9 @@ def cmd_classify(args) -> int:
     if sink.whole:
         print("structure: irreducible")
     else:
-        reachable = (sink.index + 1).tolist()
-        print(f"structure: reducible, globally reachable set of size {len(reachable)}")
-        print(f"reachable set: {_node_set(reachable)}")
-        outside = sorted(set(range(1, C.n + 1)) - set(reachable))
-        print(f"outside reachable set: {_node_set(outside)}")
+        print(f"structure: reducible, globally reachable set of size {sink.index.size}")
+        print(f"reachable set: {_node_set(structure.sinks[0])}")
+        print(f"outside reachable set: {_node_set(structure.non_sink_nodes)}")
     if sink.center is not None:
         label = "star center" if sink.whole else "star center of reachable subgraph"
         print(f"{label}: {sink.center}")
@@ -201,16 +192,20 @@ def cmd_centrality(args) -> int:
     return 0
 
 
-def _print_summary(C, structure, trajectory) -> None:
-    from .dynamics import Converged, VertexAbsorbed, fixed_point_residual
+def _status_text(status) -> str:
+    from .dynamics import Converged, VertexAbsorbed
 
-    status = trajectory.status
     if isinstance(status, Converged):
-        print(f"status: converged at step {status.at}")
-    elif isinstance(status, VertexAbsorbed):
-        print(f"status: vertex absorbed at node {status.vertex} (step {status.at})")
-    else:
-        print(f"status: max steps reached ({status.steps})")
+        return f"converged at step {status.at}"
+    if isinstance(status, VertexAbsorbed):
+        return f"vertex absorbed at node {status.vertex} (step {status.at})"
+    return f"max steps reached ({status.steps})"
+
+
+def _print_summary(C, trajectory) -> None:
+    from .dynamics import fixed_point_residual
+
+    print(f"status: {_status_text(trajectory.status)}")
     print(f"steps: {trajectory.total_steps}")
     print(f"limit: {_fmt_vec(trajectory.final_state)}")
     print(f"residual: {_fmt(fixed_point_residual(C, trajectory.final_state))}")
@@ -236,7 +231,7 @@ def cmd_simulate(args) -> int:
         # the trajectory CSV's row writer, at _fmt's format "%.12g"
         row_format = "%d," + ",".join(["%.12g"] * C.n) + "\n"
         netio._write_rows(sys.stdout, row_format, [trajectory.steps[:, None], trajectory.states])
-    _print_summary(C, structure, trajectory)
+    _print_summary(C, trajectory)
     return 0
 
 
@@ -328,6 +323,8 @@ def cmd_compare(args) -> int:
         netio.write_trajectory_csv(df, paths[1])
     print(f"regime: {report.regime}")
     print(f"steps: st={st.total_steps} df={df.total_steps}")
+    print(f"status st: {_status_text(st.status)}")
+    print(f"status df: {_status_text(df.status)}")
     if report.limit_distance < 1e-6:
         print(f"limits agree (dist {report.limit_distance:.3g})")
     else:

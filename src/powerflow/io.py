@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Optional
 
 import numpy as np
 
@@ -33,8 +32,6 @@ from .netcore import (
     validate_matrix,  # perfbench's tracer wraps powerflow.io.validate_matrix
 )
 
-FORMAT_DENSE = "dense"
-FORMAT_ADJACENCY = "adjacency"
 #: values per chunk of rows written to a matrix file or trajectory CSV
 _CSV_CHUNK_VALUES = 1 << 16
 #: ``%`` template of a run of k matrix entries is k copies of one of these:
@@ -138,23 +135,19 @@ def _parse_adjacency(lines: list[tuple[int, str]]) -> RelativeInteractionMatrix:
     return _validate_owned(entries)
 
 
-def load_network(path, format: Optional[str] = None) -> RelativeInteractionMatrix:
+def load_network(path) -> RelativeInteractionMatrix:
     """Load and validate a network file (see :func:`validate_matrix`).
 
-    `format` is "dense", "adjacency", or None to sniff: a first content
-    line containing ':' marks an adjacency list.  A file that cannot be
-    opened raises OSError; one that is not UTF-8 text raises ParseError.
+    A first content line containing ':' marks an adjacency list; any other
+    file is read as a dense matrix.  A file that cannot be opened raises
+    OSError; one that is not UTF-8 text raises ParseError.
     """
     lines = _content_lines(path)
     if not lines:
         raise ParseError(0, f"no content in {os.fspath(path)!r}")
-    if format is None:
-        format = FORMAT_ADJACENCY if ":" in lines[0][1] else FORMAT_DENSE
-    if format == FORMAT_DENSE:
-        return _parse_dense(lines)
-    if format == FORMAT_ADJACENCY:
+    if ":" in lines[0][1]:
         return _parse_adjacency(lines)
-    raise ValueError(f"unknown format {format!r}")
+    return _parse_dense(lines)
 
 
 def write_matrix(C: RelativeInteractionMatrix, path) -> None:

@@ -10,9 +10,10 @@ the pattern, and the classifier that sorts a network by them into one of
 three variants: one component (irreducible), one closed class among
 several components, which is then the set of nodes reachable from every
 node (reducible with a globally reachable set), or several closed classes
-(multi-sink).  Each variant carries its closed classes as `sink_index`
-and their star centres as `centers`, for the other modules to read, and
-:func:`single_sink` describes the one closed class of the first two.
+(multi-sink).  Every variant is one record of the closed classes and
+their star centres, which the other modules read; the variant names mark
+the regime and keep their old fields as views.  :func:`single_sink`
+describes the one closed class of the first two.
 :func:`classify` reads the positive pattern once, and its exact star test
 reads one row plus a row and a column per candidate centre, so its cost is
 that of the pattern pass and Tarjan's O(n + edges) search.
@@ -246,83 +247,72 @@ def star_center(
     return None
 
 
-def _sink_index(sinks) -> tuple[np.ndarray, ...]:
-    """One read-only 0-based index array per closed class, from each class's
-    1-based nodes: every structure's `sink_index`, kept out of == and repr."""
-    index = tuple(np.asarray(s, dtype=int) - 1 for s in sinks)
-    for idx in index:
-        idx.setflags(write=False)
-    return index
-
-
 @dataclass(frozen=True)
-class Irreducible:
-    """Strongly connected network.
+class _ClosedClasses:
+    """A network's closed classes, the record behind every variant.
 
-    `star_center` is set iff the star predicate holds.  The whole network
-    is the one closed class, so `sink_index` holds the single array 0..n-1.
+    `sinks` holds each class as an ascending 1-based node tuple, ordered by
+    smallest node, and `centers` each class's star centre or None.
+    `sink_index` holds them as read-only 0-based arrays, built once and
+    kept out of == and repr.
     """
 
     n: int
-    star_center: Optional[int] = None
+    sinks: tuple[tuple[int, ...], ...]
+    centers: tuple[Optional[int], ...]
     sink_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sink_index", _sink_index((np.arange(1, self.n + 1),)))
+        index = tuple(np.asarray(s, dtype=int) - 1 for s in self.sinks)
+        for idx in index:
+            idx.setflags(write=False)
+        object.__setattr__(self, "sink_index", index)
 
     @property
-    def centers(self) -> tuple[Optional[int], ...]:
-        return (self.star_center,)
-
-
-@dataclass(frozen=True)
-class ReducibleReachable:
-    """Not strongly connected, with a single condensation sink.
-
-    `reachable` lists the globally reachable nodes (ascending); power
-    eventually concentrates there, and `sink_index` holds their 0-based
-    indices as its single array.  `star_center_of_subgraph` is populated
-    only when the sink has at least three nodes and forms a star.
-    """
-
-    n: int
-    reachable: tuple[int, ...]
-    star_center_of_subgraph: Optional[int] = None
-    sink_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sink_index", _sink_index((self.reachable,)))
+    def num_sinks(self) -> int:
+        return len(self.sinks)
 
     @property
-    def centers(self) -> tuple[Optional[int], ...]:
-        return (self.star_center_of_subgraph,)
+    def non_sink_nodes(self) -> tuple[int, ...]:
+        in_sink = set().union(*self.sinks)
+        return tuple(v for v in range(1, self.n + 1) if v not in in_sink)
 
 
-@dataclass(frozen=True)
-class MultiSink:
-    """Two or more condensation sinks plus transient (non-sink) nodes.
+class Irreducible(_ClosedClasses):
+    """Strongly connected: the whole network is the one closed class, and
+    `star_center` is set iff the star predicate holds."""
+
+    @property
+    def star_center(self) -> Optional[int]:
+        return self.centers[0]
+
+
+class ReducibleReachable(_ClosedClasses):
+    """Not strongly connected, with one closed class: `reachable`, the
+    globally reachable nodes, where power eventually concentrates.
+    `star_center_of_subgraph` is set iff that class is a star."""
+
+    @property
+    def reachable(self) -> tuple[int, ...]:
+        return self.sinks[0]
+
+    @property
+    def star_center_of_subgraph(self) -> Optional[int]:
+        return self.centers[0]
+
+
+class MultiSink(_ClosedClasses):
+    """Two or more closed classes plus transient (non-sink) nodes.
 
     `permutation` lists original 1-based node ids in normal-form order:
     sink 1 nodes, then sink 2 nodes, ..., then non-sink nodes.  Reindexing
     rows and columns by it yields a block lower-triangular matrix whose
     leading diagonal blocks are the irreducible row-stochastic sinks.
-    Sinks are ordered by their smallest node id, and `sink_index` holds
-    their 0-based indices in that order, `centers` their star centres or None.
     """
 
-    n: int
-    sinks: tuple[tuple[int, ...], ...]
-    non_sink_nodes: tuple[int, ...]
-    permutation: tuple[int, ...]
-    centers: tuple[Optional[int], ...]
-    sink_index: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sink_index", _sink_index(self.sinks))
-
     @property
-    def num_sinks(self) -> int:
-        return len(self.sinks)
+    def permutation(self) -> tuple[int, ...]:
+        return tuple(v for s in self.sinks for v in s) + self.non_sink_nodes
 
     @property
     def sink_sizes(self) -> tuple[int, ...]:
@@ -330,7 +320,7 @@ class MultiSink:
 
     @property
     def m(self) -> int:
-        return len(self.non_sink_nodes)
+        return self.n - sum(self.sink_sizes)
 
 
 NetworkStructure = Union[Irreducible, ReducibleReachable, MultiSink]
@@ -342,21 +332,14 @@ def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
     Total: every validated matrix maps to exactly one variant, by the
     closed classes of its condensation: a single component is Irreducible,
     a single closed class among several components ReducibleReachable, and
-    several closed classes MultiSink.  Every structure's `centers` holds
-    the star centre or None of each class in `sink_index`.
+    several closed classes MultiSink.
     """
     condensation = strongly_connected_components(C)
-    if len(condensation.components) == 1:
-        return Irreducible(C.n, star_center=star_center(C))
-    closed = [condensation.components[k] for k in condensation.sinks]
-    if len(closed) == 1:
-        return ReducibleReachable(C.n, closed[0], star_center(C, closed[0]))
-    sinks = tuple(sorted(closed, key=lambda c: c[0]))
-    in_sink = {v for comp in sinks for v in comp}
-    non_sink = tuple(v for v in range(1, C.n + 1) if v not in in_sink)
-    permutation = tuple(v for comp in sinks for v in comp) + non_sink
-    centers = tuple(star_center(C, comp) for comp in sinks)
-    return MultiSink(C.n, sinks, non_sink, permutation, centers)
+    # disjoint ascending tuples sort by their smallest node
+    sinks = tuple(sorted(condensation.components[k] for k in condensation.sinks))
+    variant = (Irreducible if len(condensation.components) == 1
+               else ReducibleReachable if len(sinks) == 1 else MultiSink)
+    return variant(C.n, sinks, tuple(star_center(C, s) for s in sinks))
 
 
 class SingleSink(NamedTuple):

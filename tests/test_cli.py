@@ -230,6 +230,8 @@ class TestCompareCommand:
 COMPARE_TWO_SINK_SIX = """\
 regime: multi-sink(K=2)
 steps: st=17 df=21
+status st: converged at step 17
+status df: converged at step 21
 limits differ (dist 0.0893): [0.293520234592, 0.293520234592, 0.19289306727, \
 0.134984930314, 0.0850815332318, 0] vs [0.208333333333, 0.208333333333, \
 0.2821706702, 0.186811218765, 0.114351444368, 0]
@@ -244,6 +246,8 @@ wrote trajectories: {base}.st.csv {base}.df.csv
 COMPARE_REDUCIBLE_STAR = """\
 regime: reachable-star(center=1)
 steps: st=0 df=4000
+status st: vertex absorbed at node 10 (step 0)
+status df: max steps reached (4000)
 limits differ (dist 1): e_10 vs e_1
 limit st: [0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
 limit df: [0.999714364542""" + ", 3.57044322168e-05" * 8 + """, 0]
@@ -289,6 +293,21 @@ class TestOutputBytes:
             "--max-steps", "4000",
         )
         assert (code, out, err) == (0, COMPARE_REDUCIBLE_STAR, "")
+
+    def test_compare_reports_each_runs_status(self, capsys, tmp_path):
+        # both runs cut at --max-steps: the limits are no limits, and say so
+        path = tmp_path / "twosink.txt"
+        path.write_text(nets.TWO_PAIR_ADJACENCY, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "compare", "--network", str(path), "--x0", "random:7",
+            "--max-steps", "3",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:4] == [
+            "steps: st=3 df=3",
+            "status st: max steps reached (3)",
+            "status df: max steps reached (3)",
+        ]
 
     def test_simulate_rows(self, capsys):
         code, out, err = run_cli(

@@ -36,7 +36,7 @@ class TestLoadDense:
             C = pf.validate_matrix(thinned / thinned.sum(axis=1, keepdims=True))
         path = tmp_path / "net.txt"
         pf.write_matrix(C, path)
-        again = pf.load_network(path, format="dense")
+        again = pf.load_network(path)
         assert again.entries.tobytes() == C.entries.tobytes()
 
     @pytest.mark.parametrize("leaf", ["0.9999999999999999", "1.0000000000000002"])
@@ -453,7 +453,7 @@ class TestMatrixBytes:
         pf.write_matrix(pf.build_ring(n), path)
         tracemalloc.start()
         try:
-            C = pf.load_network(path, format="dense")
+            C = pf.load_network(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -15,6 +15,7 @@ from powerflow.errors import (
 from powerflow.netcore import Condensation, _condensation, _tarjan
 
 import nets
+from test_regimes import REGIMES
 
 
 class TestValidateMatrix:
@@ -508,6 +509,47 @@ class TestClassify:
         assert isinstance(pf.classify(nets.ring3()), pf.Irreducible)
         assert isinstance(pf.classify(nets.reachable_pair()), pf.ReducibleReachable)
         assert isinstance(pf.classify(nets.two_sink_five()), pf.MultiSink)
+
+
+STRUCTURE_NETWORKS = {
+    **{name: getattr(nets, name)() for name in (
+        "three_node", "reachable_pair", "ring3", "star3", "two_sink_five",
+        "two_sink_six", "star_sink_seven", "transient_cycle_six",
+        "reducible_star_ten", "synthetic_krackhardt_matrix",
+        "synthetic_reduced_krackhardt",
+    )},
+    **{f"regime-{r.name}": pf.validate_matrix(r.matrix) for r in REGIMES},
+}
+
+
+@pytest.mark.parametrize("C", STRUCTURE_NETWORKS.values(), ids=STRUCTURE_NETWORKS.keys())
+def test_structure_views_follow_sinks_and_centers(C):
+    structure = pf.classify(C)
+    sinks, centers = structure.sinks, structure.centers
+    assert all(list(s) == sorted(s) for s in sinks)
+    assert [s[0] for s in sinks] == sorted(s[0] for s in sinks)
+    assert len(centers) == structure.num_sinks == len(sinks) == len(structure.sink_index)
+    for k, idx in enumerate(structure.sink_index):
+        assert tuple((idx + 1).tolist()) == sinks[k]
+    in_sink = {v for s in sinks for v in s}
+    assert structure.non_sink_nodes == tuple(
+        v for v in range(1, C.n + 1) if v not in in_sink
+    )
+    if isinstance(structure, pf.Irreducible):
+        assert sinks == (tuple(range(1, C.n + 1)),)
+        assert structure.star_center == centers[0]
+    elif isinstance(structure, pf.ReducibleReachable):
+        assert structure.reachable == sinks[0]
+        assert structure.star_center_of_subgraph == centers[0]
+    else:
+        assert structure.permutation == (
+            tuple(v for s in sinks for v in s) + structure.non_sink_nodes
+        )
+        assert structure.sink_sizes == tuple(len(s) for s in sinks)
+        assert structure.m == len(structure.non_sink_nodes)
+    twin = pf.classify(C)
+    assert twin is not structure
+    assert twin == structure and hash(twin) == hash(structure)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(3, 7))
