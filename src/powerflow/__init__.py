@@ -29,7 +29,7 @@ _EXPORTS = {
             "EPS_VALIDATION", "Condensation", "RelativeInteractionMatrix",
             "NetworkStructure", "Irreducible", "ReducibleReachable", "MultiSink",
             "validate_matrix", "strongly_connected_components", "star_center",
-            "classify", "SingleSink", "single_sink",
+            "classify",
         )),
         ("spectral", (
             "EPS_SPECTRAL", "CentralityProfile", "InfluenceMatrix",

@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     PowerflowError,
 )
-from .netcore import RelativeInteractionMatrix, classify, single_sink
+from .netcore import RelativeInteractionMatrix, classify
 from .spectral import centrality_profile
 
 # The dynamics and equilibria modules load only in the commands that run
@@ -150,8 +150,7 @@ def cmd_classify(args) -> int:
     structure = classify(C)
     profile = centrality_profile(C, structure)
     print(f"nodes: {C.n}")
-    sink = single_sink(structure)
-    if sink is None:
+    if structure.num_sinks > 1:
         print(f"structure: multi-sink, K={structure.num_sinks} sinks")
         for k, nodes in enumerate(structure.sinks, start=1):
             print(f"sink {k}: {_node_set(nodes)} (size {len(nodes)})")
@@ -162,16 +161,19 @@ def cmd_classify(args) -> int:
         for k, c_k in enumerate(profile.per_sink, start=1):
             print(f"sink {k} centrality: {_fmt_vec(c_k)}")
         return 0
-    if sink.whole:
+    size = len(structure.sinks[0])
+    whole = size == C.n
+    if whole:
         print("structure: irreducible")
     else:
-        print(f"structure: reducible, globally reachable set of size {sink.index.size}")
+        print(f"structure: reducible, globally reachable set of size {size}")
         print(f"reachable set: {_node_set(structure.sinks[0])}")
         print(f"outside reachable set: {_node_set(structure.non_sink_nodes)}")
-    if sink.center is not None:
-        label = "star center" if sink.whole else "star center of reachable subgraph"
-        print(f"{label}: {sink.center}")
-    if sink.whole and sink.index.size == 2:
+    center = structure.centers[0]
+    if center is not None:
+        label = "star center" if whole else "star center of reachable subgraph"
+        print(f"{label}: {center}")
+    if whole and size == 2:
         print("note: two-node network, every interior point is fixed")
     print(f"centrality: {_fmt_vec(profile.global_c)}")
     return 0
@@ -249,8 +251,7 @@ def cmd_equilibrium(args) -> int:
 
     C = _load_network(args)
     structure = classify(C)
-    sink = single_sink(structure)
-    if args.zeta is not None and sink is not None:
+    if args.zeta is not None and structure.num_sinks == 1:
         raise InvalidInitialError(
             "--zeta applies only to multi-sink networks; this network has one sink"
         )
@@ -275,18 +276,18 @@ def cmd_equilibrium(args) -> int:
     print("fixed points: every autocratic vertex e_i")
     # the uniform start is no vertex for n >= 2, so the structure alone decides
     prediction = predict_limit(C, structure, profile, np.full(C.n, 1.0 / C.n), args.tol)
-    if prediction.kind == KIND_TWO_NODE_FAMILY and sink.whole:
+    if prediction.kind == KIND_TWO_NODE_FAMILY and C.n == 2:
         print("interior equilibria: every interior point (two-node network)")
     elif prediction.kind == KIND_TWO_NODE_FAMILY:
-        a, b = prediction.support
+        a, b = structure.sinks[0]
         print(
             f"equilibrium family: (alpha, 1-alpha) on nodes {a}, {b}, "
             "zero elsewhere; alpha depends on the trajectory"
         )
     elif prediction.kind == KIND_STAR_AUTOCRAT:
-        print(f"autocrat at node {prediction.center}; interior equilibria: none")
+        print(f"autocrat at node {structure.centers[0]}; interior equilibria: none")
     elif prediction.kind == KIND_UNIQUE_INTERIOR:
-        check = check_interior(C, prediction.x_star, sink.index, profile.per_sink[0])
+        check = check_interior(C, prediction.x_star, structure.sink_index[0], profile.per_sink[0])
         print(f"interior equilibrium: {_fmt_vec(prediction.x_star)}")
         print(f"alpha: {_fmt(check.alpha)}")
         print(f"residual: {_fmt(check.residual)}")
@@ -406,7 +407,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, x0: bool = False, model: bool = False):
+    def add_common(p: argparse.ArgumentParser, run: bool = False, model: bool = False):
         p.add_argument("--network", help="network file (dense matrix or adjacency list)")
         p.add_argument(
             "--builder",
@@ -418,12 +419,18 @@ def _parser() -> argparse.ArgumentParser:
                 "--model", choices=MODELS, default=SINGLE_TIMESCALE,
                 help="update rule: st (single-timescale) or df (classical)",
             )
-        if x0:
+        if run:
             p.add_argument(
                 "--x0", default="uniform",
                 help="initial self-weights: uniform, vertex:I, random:SEED "
                 "or list:a,b,...",
             )
+            p.add_argument(
+                "--tol", type=_step_tolerance, default=EPS_CONV,
+                help="step-delta tolerance (>= 0)",
+            )
+            p.add_argument("--max-steps", type=_step_count, default=DEFAULT_MAX_STEPS)
+            p.add_argument("--record-every", type=_record_interval, default=1)
 
     p_classify = sub.add_parser("classify", help="report the network structure")
     add_common(p_classify)
@@ -434,12 +441,7 @@ def _parser() -> argparse.ArgumentParser:
     p_centrality.set_defaults(func=cmd_centrality)
 
     p_sim = sub.add_parser("simulate", help="run one update rule")
-    add_common(p_sim, x0=True, model=True)
-    p_sim.add_argument(
-        "--tol", type=_step_tolerance, default=EPS_CONV, help="step-delta tolerance (>= 0)"
-    )
-    p_sim.add_argument("--max-steps", type=_step_count, default=DEFAULT_MAX_STEPS)
-    p_sim.add_argument("--record-every", type=_record_interval, default=1)
+    add_common(p_sim, run=True, model=True)
     p_sim.add_argument("--out", help="write the trajectory CSV here")
     p_sim.add_argument(
         "--quiet", action="store_true", help="suppress per-step rows on stdout"
@@ -457,12 +459,7 @@ def _parser() -> argparse.ArgumentParser:
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_cmp = sub.add_parser("compare", help="run both update rules from one start")
-    add_common(p_cmp, x0=True)
-    p_cmp.add_argument(
-        "--tol", type=_step_tolerance, default=EPS_CONV, help="step-delta tolerance (>= 0)"
-    )
-    p_cmp.add_argument("--max-steps", type=_step_count, default=DEFAULT_MAX_STEPS)
-    p_cmp.add_argument("--record-every", type=_record_interval, default=1)
+    add_common(p_cmp, run=True)
     p_cmp.add_argument("--out", help="prefix for the two trajectory CSVs")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -9,16 +9,18 @@ bracketed scalar root: the power s of the top score fixes a, every other
 coordinate follows on the minus branch of its quadratic, and the mass
 condition is a concave function of s with a single sign change.
 
-:func:`predict_limit` dispatches on the classified network structure;
-:func:`assemble_multisink_equilibrium` materializes the equilibrium of a
-multi-sink network from a given split of power among the sinks, with that
-one solver for every sink of two or more nodes (holding all power, a star
-sink is its centre's vertex and a two-node sink the family (a, 1-a));
-:func:`check_interior` checks a solved interior point; :func:`compare_models`
-runs both update rules from one initial state and returns the two
-trajectories, the distance between their limits and the regime.  Each
-result holds a value once: limits, step counts and sink totals are read
-from the trajectories, and :func:`regime_name` describes the regime.
+:func:`predict_limit` and :func:`assemble_multisink_equilibrium` share
+one rule per closed class: holding all power, a star class sits at its
+centre's vertex and a two-node class has the family (a, 1-a); any other
+class gets the interior point of its centrality scores from that one
+solver.  A single-sink network is thus the one-sink case of the
+assembly, and a prediction is its kind plus its point (`x_star`, None
+for the two families).  :func:`check_interior` checks a solved interior
+point; :func:`compare_models` runs both update rules from one initial
+state and returns the two trajectories, the distance between their
+limits and the regime.  Each result holds a value once: limits, step
+counts and sink totals are read from the trajectories, and
+:func:`regime_name` describes the regime.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .netcore import (
     NetworkStructure,
     RelativeInteractionMatrix,
     classify,
-    single_sink,
 )
 from .spectral import CentralityProfile
 
@@ -196,22 +197,29 @@ KIND_MULTI_SINK_FAMILY = "multi_sink_family"
 class EquilibriumPrediction:
     """Predicted limit of the single-timescale dynamics for one run.
 
-    kind: one of "vertex" (autocratic start stays put, at `vertex`),
-        "star_autocrat" (power concentrates on the star `center`),
-        "unique_interior" (x_star holds the solved point), "two_node_family"
-        (the split between the two supporting nodes depends on the
-        transient) or "multi_sink_family" (the sink power split depends on
-        the trajectory; use simulation plus the assembler to realize a
-        member).  :func:`regime_name` describes the regime itself.
-    support: the 1-based nodes that can hold power in the limit, for the
-        interior point and the two families.
+    kind: one of "vertex" (an autocratic start stays put), "star_autocrat"
+        (power concentrates on the star centre), "unique_interior",
+        "two_node_family" (the split between the two sink nodes depends on
+        the transient) or "multi_sink_family" (the sink power split
+        depends on the trajectory; use simulation plus the assembler to
+        realize a member).  :func:`regime_name` describes the regime.
+    x_star: the predicted point of the first three kinds (e_v, the
+        centre's vertex, the solved interior point), None for the families.
     """
 
     kind: str
-    vertex: Optional[int] = None
-    center: Optional[int] = None
-    x_star: Optional[np.ndarray] = None
-    support: Optional[tuple[int, ...]] = None
+    x_star: Optional[np.ndarray]
+
+
+def _write_class_equilibrium(x, structure, profile, k: int, total: float, eps: float) -> None:
+    """Write closed class k's equilibrium for `total` into `x`: at a total
+    of 1 with a centre in `structure.centers`, that centre's vertex, else
+    the interior point of its scores, solved to residual `eps`."""
+    center = structure.centers[k]
+    if total == 1.0 and center is not None:
+        x[center - 1] = 1.0
+    else:
+        x[structure.sink_index[k]] = solve_interior_equilibrium(profile.per_sink[k], total, eps)
 
 
 def predict_limit(
@@ -230,29 +238,25 @@ def predict_limit(
 
     `x0` must lie in the simplex within EPS_SIMPLEX, and a start within
     EPS_SIMPLEX of a vertex is autocratic.  Past an autocratic start only
-    the structure matters: several sinks give the multi-sink family, and
-    one sink (`structure.sink_index`, the whole network or the reachable
-    set) gives, by its size and star center, the two-node family, the star
-    or the interior point, zero off the sink, solved to residual `eps`.
+    the structure matters: several sinks give the multi-sink family and a
+    two-node sink the two-node family.  Any other single sink (the whole
+    network or the reachable set) holds all power and gets the assembly's
+    per-class rule at total 1: the star centre's vertex or the interior
+    point, zero off the sink, solved to residual `eps`.
     """
     x0 = check_simplex(x0)
     v = vertex_index(x0)
-    if v is not None:
-        return EquilibriumPrediction(kind=KIND_VERTEX, vertex=v)
-    sink = single_sink(structure)
-    if sink is None:
-        return EquilibriumPrediction(
-            kind=KIND_MULTI_SINK_FAMILY,
-            support=tuple(v for nodes in structure.sinks for v in nodes),
-        )
-    support = tuple((sink.index + 1).tolist())
-    if sink.index.size == 2:
-        return EquilibriumPrediction(kind=KIND_TWO_NODE_FAMILY, support=support)
-    if sink.center is not None:
-        return EquilibriumPrediction(kind=KIND_STAR_AUTOCRAT, center=sink.center)
     x_star = np.zeros(structure.n)
-    x_star[sink.index] = solve_interior_equilibrium(profile.per_sink[0], 1.0, eps)
-    return EquilibriumPrediction(kind=KIND_UNIQUE_INTERIOR, x_star=x_star, support=support)
+    if v is not None:
+        x_star[v - 1] = 1.0
+        return EquilibriumPrediction(KIND_VERTEX, x_star)
+    if structure.num_sinks > 1:
+        return EquilibriumPrediction(KIND_MULTI_SINK_FAMILY, None)
+    if structure.sink_index[0].size == 2:
+        return EquilibriumPrediction(KIND_TWO_NODE_FAMILY, None)
+    _write_class_equilibrium(x_star, structure, profile, 0, 1.0, eps)
+    kind = KIND_UNIQUE_INTERIOR if structure.centers[0] is None else KIND_STAR_AUTOCRAT
+    return EquilibriumPrediction(kind, x_star)
 
 
 def assemble_multisink_equilibrium(
@@ -293,10 +297,8 @@ def assemble_multisink_equilibrium(
         total = float(zeta[k])
         if total == 0.0:
             continue
-        center = structure.centers[k]
-        if total == 1.0 and center is not None:
-            x[center - 1] = total
-        elif total == 1.0 and idx.size == 2:
+        # a two-node sink has no centre
+        if total == 1.0 and idx.size == 2:
             if alpha is None:
                 raise FamilyParameterRequiredError(
                     f"sink {k + 1} holds all power: its equilibria are "
@@ -306,21 +308,22 @@ def assemble_multisink_equilibrium(
                 raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
             x[idx] = (alpha, 1.0 - alpha)
         else:
-            x[idx] = solve_interior_equilibrium(profile.per_sink[k], total, eps)
+            _write_class_equilibrium(x, structure, profile, k, total, eps)
     return x
 
 
 def regime_name(structure: NetworkStructure) -> str:
     """Short label of the structural regime a network falls into."""
-    sink = single_sink(structure)
-    if sink is None:
+    if structure.num_sinks > 1:
         return f"multi-sink(K={structure.num_sinks})"
-    prefix = "irreducible" if sink.whole else "reachable"
-    if sink.index.size == 2:
+    size = len(structure.sinks[0])
+    whole = size == structure.n
+    prefix = "irreducible" if whole else "reachable"
+    if size == 2:
         return f"{prefix}-pair"
-    if sink.center is not None:
-        return f"{prefix}-star(center={sink.center})"
-    return prefix if sink.whole else f"{prefix}(r={sink.index.size})"
+    if structure.centers[0] is not None:
+        return f"{prefix}-star(center={structure.centers[0]})"
+    return prefix if whole else f"{prefix}(r={size})"
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ three variants: one component (irreducible), one closed class among
 several components, which is then the set of nodes reachable from every
 node (reducible with a globally reachable set), or several closed classes
 (multi-sink).  Every variant is one record of the closed classes and
-their star centres, which the other modules read; the variant names mark
-the regime and keep their old fields as views.  :func:`single_sink`
-describes the one closed class of the first two.
+their star centres (`sinks`, `centers` and the 0-based `sink_index`),
+which the other modules read directly, one class at a time; the variant
+names mark the regime and keep their old fields as views.
 :func:`classify` reads the positive pattern once, and its exact star test
 reads one row plus a row and a column per candidate centre, so its cost is
 that of the pattern pass and Tarjan's O(n + edges) search.
@@ -24,7 +24,7 @@ All node identifiers on public surfaces are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -340,20 +340,3 @@ def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
     variant = (Irreducible if len(condensation.components) == 1
                else ReducibleReachable if len(sinks) == 1 else MultiSink)
     return variant(C.n, sinks, tuple(star_center(C, s) for s in sinks))
-
-
-class SingleSink(NamedTuple):
-    """The one closed class of a single-sink structure: its `sink_index`
-    entry, whether it spans the network, and its star centre or None."""
-
-    index: np.ndarray
-    whole: bool
-    center: Optional[int]
-
-
-def single_sink(structure: NetworkStructure) -> Optional[SingleSink]:
-    """The closed class of a structure that has one, else None."""
-    if len(structure.sink_index) != 1:
-        return None
-    (index,) = structure.sink_index
-    return SingleSink(index, index.size == structure.n, structure.centers[0])

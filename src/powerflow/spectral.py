@@ -72,24 +72,26 @@ def dominant_left_eigenvector(M) -> np.ndarray:
 class CentralityProfile:
     """Eigenvector centrality scores of a classified network.
 
-    global_c: n-vector, present when the condensation has a single sink;
-        zero outside the reachable set in the reducible case.
     per_sink: for each sink, the centrality vector of the sink's induced
         subnetwork (strictly positive, sums to 1).  A single-sink network
         contributes one entry.
     lifted: the per_sink vectors embedded as n-vectors, positive exactly on
         the owning sink's nodes.
+    global_c: the one lifted vector when the condensation has a single
+        sink (zero outside the reachable set in the reducible case), else
+        None.
     """
 
-    global_c: Optional[np.ndarray]
     per_sink: tuple[np.ndarray, ...]
     lifted: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if self.global_c is not None:
-            self.global_c.setflags(write=False)
         for vec in (*self.per_sink, *self.lifted):
             vec.setflags(write=False)
+
+    @property
+    def global_c(self) -> Optional[np.ndarray]:
+        return self.lifted[0] if len(self.lifted) == 1 else None
 
 
 def centrality_profile(
@@ -112,11 +114,7 @@ def centrality_profile(
         vec[idx] = c_k
         per_sink.append(c_k)
         lifted.append(vec)
-    return CentralityProfile(
-        global_c=lifted[0] if len(lifted) == 1 else None,
-        per_sink=tuple(per_sink),
-        lifted=tuple(lifted),
-    )
+    return CentralityProfile(per_sink=tuple(per_sink), lifted=tuple(lifted))
 
 
 @dataclass(frozen=True)

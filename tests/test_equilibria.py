@@ -319,9 +319,8 @@ def test_prediction_soundness_randomized():
         prediction = pf.predict_limit(C, structure, profile, x0)
         if prediction.kind == "star_autocrat":
             limit = pf.simulate("st", C, x0, max_steps=30_000).final_state
-            target = np.zeros(C.n)
-            target[prediction.center - 1] = 1.0
-            assert np.max(np.abs(limit - target)) < 1e-3
+            assert prediction.x_star[structure.centers[0] - 1] == 1.0
+            assert np.max(np.abs(limit - prediction.x_star)) < 1e-3
         else:
             assert prediction.kind == "unique_interior"
             limit = pf.simulate("st", C, x0).final_state
@@ -335,7 +334,7 @@ class TestPredictLimit:
         profile = pf.centrality_profile(C, structure)
         pred = pf.predict_limit(C, structure, profile, [0.0, 1.0, 0.0])
         assert pred.kind == "vertex"
-        assert pred.vertex == 2
+        assert pred.x_star.tolist() == [0.0, 1.0, 0.0]
 
     def test_star_autocrat(self):
         C = pf.build_star(10)
@@ -343,7 +342,7 @@ class TestPredictLimit:
         profile = pf.centrality_profile(C, structure)
         pred = pf.predict_limit(C, structure, profile, np.full(10, 0.1))
         assert pred.kind == "star_autocrat"
-        assert pred.center == 1
+        assert pred.x_star.tolist() == [1.0] + [0.0] * 9
 
     def test_unique_interior_matches_simulation(self):
         C = nets.three_node()
@@ -360,7 +359,8 @@ class TestPredictLimit:
         profile = pf.centrality_profile(C, structure)
         pred = pf.predict_limit(C, structure, profile, np.array([0.2, 0.2, 0.6]))
         assert pred.kind == "two_node_family"
-        assert pred.support == (1, 2)
+        assert pred.x_star is None
+        assert structure.sinks == ((1, 2),)
 
     def test_reducible_star_subgraph(self):
         C = nets.reducible_star_ten()
@@ -368,7 +368,7 @@ class TestPredictLimit:
         profile = pf.centrality_profile(C, structure)
         pred = pf.predict_limit(C, structure, profile, np.full(10, 0.1))
         assert pred.kind == "star_autocrat"
-        assert pred.center == 1
+        assert pred.x_star.tolist() == [1.0] + [0.0] * 9
 
     def test_reachable_interior_supported_on_reachable(self):
         # reachable 3-node non-star core plus one transient feeder
@@ -554,12 +554,13 @@ class TestExactStarRule:
             structure = pf.classify(C)
             profile = pf.centrality_profile(C, structure)
             prediction = pf.predict_limit(C, structure, profile, np.full(n, 1.0 / n))
-            assert (prediction.kind, prediction.center) == ("star_autocrat", 1)
+            assert prediction.kind == "star_autocrat"
+            vertex = np.zeros(n + 3)
+            vertex[0] = 1.0
+            assert np.array_equal(prediction.x_star, vertex[:n])
             full, sinks, sink_profile = beside_a_pair(block)
             assert sinks.centers == (1, None)
             x = pf.assemble_multisink_equilibrium(sinks, sink_profile, [1.0, 0.0])
-            vertex = np.zeros(n + 3)
-            vertex[0] = 1.0
             assert np.array_equal(x, vertex)
             assert pf.fixed_point_residual(full, x) == 0.0
 

@@ -306,8 +306,8 @@ class TestCondensationAgainstReachability:
 def _globally_reachable_set(C):
     """Nodes reachable from every node, read from classify: the one closed
     class of a single-sink structure, none with several sinks."""
-    sink = pf.single_sink(pf.classify(C))
-    return () if sink is None else tuple((sink.index + 1).tolist())
+    structure = pf.classify(C)
+    return structure.sinks[0] if structure.num_sinks == 1 else ()
 
 
 class TestGloballyReachableSet:

@@ -10,6 +10,7 @@ import pytest
 
 import powerflow as pf
 from powerflow.cli import main
+from powerflow.defaults import EPS_EQUILIBRIUM
 from powerflow.equilibria import fixed_point_residual, solve_interior_equilibrium
 from powerflow.spectral import CentralityProfile, dominant_left_eigenvector
 
@@ -150,14 +151,17 @@ def test_predict_limit_fields(regime):
     profile = pf.centrality_profile(C, structure)
     prediction = pf.predict_limit(C, structure, profile, np.full(C.n, 1.0 / C.n))
     assert prediction.kind == regime.kind
-    assert prediction.center == regime.center
-    assert prediction.support == regime.support
-    assert prediction.vertex is None
+    # the centre and the family support are read from the structure
+    assert structure.centers[0] == regime.center
     if regime.kind == "unique_interior":
         expected = reference_x_star(C, structure, profile)
         assert prediction.x_star.tobytes() == expected.tobytes()
+        assert tuple((np.flatnonzero(prediction.x_star) + 1).tolist()) == regime.support
+    elif regime.kind == "star_autocrat":
+        assert np.flatnonzero(prediction.x_star).tolist() == [regime.center - 1]
     else:
         assert prediction.x_star is None
+        assert tuple(v for nodes in structure.sinks for v in nodes) == regime.support
 
 
 @pytest.mark.parametrize("regime", REGIMES, ids=IDS)
@@ -169,9 +173,37 @@ def test_prediction_ignores_the_interior_start(regime):
     other = pf.predict_limit(
         C, structure, profile, nets.random_interior(np.random.default_rng(3), C.n)
     )
-    assert other.kind == uniform.kind and other.support == uniform.support
+    assert other.kind == uniform.kind
     if uniform.x_star is not None:
         assert other.x_star.tobytes() == uniform.x_star.tobytes()
+
+
+@pytest.mark.parametrize("start", ["uniform", "vertex:n"])
+@pytest.mark.parametrize("regime", REGIMES, ids=IDS)
+def test_prediction_point_is_a_fixed_simplex_point(regime, start):
+    C = pf.validate_matrix(regime.matrix)
+    structure = pf.classify(C)
+    profile = pf.centrality_profile(C, structure)
+    x0 = np.full(C.n, 1.0 / C.n)
+    if start == "vertex:n":
+        x0 = np.zeros(C.n)
+        x0[-1] = 1.0
+    prediction = pf.predict_limit(C, structure, profile, x0)
+    assert [f.name for f in dataclasses.fields(prediction)] == ["kind", "x_star"]
+    pointwise = ("vertex", "star_autocrat", "unique_interior")
+    assert (prediction.x_star is not None) == (prediction.kind in pointwise)
+    if prediction.x_star is None:
+        return
+    x = prediction.x_star
+    assert x.shape == (C.n,)
+    assert np.all(x >= 0.0) and abs(float(x.sum()) - 1.0) <= 1e-12
+    assert fixed_point_residual(C, x) <= 10 * EPS_EQUILIBRIUM
+    if prediction.kind != "unique_interior":
+        # a vertex, the start's or the star centre's, bit for bit
+        v = C.n if prediction.kind == "vertex" else structure.centers[0]
+        vertex = np.zeros(C.n)
+        vertex[v - 1] = 1.0
+        assert x.tobytes() == vertex.tobytes()
 
 
 @pytest.mark.parametrize("regime", REGIMES, ids=IDS)
@@ -291,20 +323,6 @@ def test_sink_index_outside_equality_and_repr(structure):
     assert not field.init and not field.compare and not field.repr
 
 
-@pytest.mark.parametrize("structure", structures(), ids=lambda s: pf.regime_name(s))
-def test_single_sink_reads_the_one_closed_class(structure):
-    sink = pf.single_sink(structure)
-    if isinstance(structure, pf.MultiSink):
-        assert sink is None
-        return
-    assert sink.index is structure.sink_index[0]
-    assert sink.whole == isinstance(structure, pf.Irreducible)
-    if sink.whole:
-        assert sink.center == structure.star_center
-    else:
-        assert sink.center == structure.star_center_of_subgraph
-
-
 def test_sink_index_matches_the_condensation_sinks():
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -322,13 +340,13 @@ def reference_profile(C, structure):
     """centrality_profile as one branch per structure variant."""
     if isinstance(structure, pf.Irreducible):
         c = dominant_left_eigenvector(C.entries)
-        return CentralityProfile(global_c=c, per_sink=(c,), lifted=(c,))
+        return CentralityProfile(per_sink=(c,), lifted=(c,))
     if isinstance(structure, pf.ReducibleReachable):
         idx = np.asarray(structure.reachable, dtype=int) - 1
         c_sink = dominant_left_eigenvector(C.entries[np.ix_(idx, idx)])
         lifted = np.zeros(C.n)
         lifted[idx] = c_sink
-        return CentralityProfile(global_c=lifted, per_sink=(c_sink,), lifted=(lifted,))
+        return CentralityProfile(per_sink=(c_sink,), lifted=(lifted,))
     per_sink, lifted = [], []
     for idx in structure.sink_index:
         c_k = dominant_left_eigenvector(C.entries[np.ix_(idx, idx)])
@@ -336,7 +354,7 @@ def reference_profile(C, structure):
         vec[idx] = c_k
         per_sink.append(c_k)
         lifted.append(vec)
-    return CentralityProfile(global_c=None, per_sink=tuple(per_sink), lifted=tuple(lifted))
+    return CentralityProfile(per_sink=tuple(per_sink), lifted=tuple(lifted))
 
 
 def profile_networks():
