@@ -26,10 +26,9 @@ _EXPORTS = {
             "MODELS", "SINGLE_TIMESCALE", "ORIGINAL_DF",
         )),
         ("netcore", (
-            "EPS_VALIDATION", "Condensation", "RelativeInteractionMatrix",
-            "NetworkStructure", "Irreducible", "ReducibleReachable", "MultiSink",
-            "validate_matrix", "strongly_connected_components", "star_center",
-            "classify",
+            "EPS_VALIDATION", "RelativeInteractionMatrix", "NetworkStructure",
+            "Irreducible", "ReducibleReachable", "MultiSink", "validate_matrix",
+            "star_center", "classify",
         )),
         ("spectral", (
             "EPS_SPECTRAL", "CentralityProfile", "InfluenceMatrix",

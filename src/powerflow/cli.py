@@ -156,7 +156,7 @@ def cmd_classify(args) -> int:
             print(f"sink {k}: {_node_set(nodes)} (size {len(nodes)})")
         print(
             f"non-sink nodes: {_node_set(structure.non_sink_nodes)} "
-            f"(m={structure.m})"
+            f"(m={len(structure.non_sink_nodes)})"
         )
         for k, c_k in enumerate(profile.per_sink, start=1):
             print(f"sink {k} centrality: {_fmt_vec(c_k)}")

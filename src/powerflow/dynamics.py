@@ -40,7 +40,12 @@ import numpy as np
 
 from .defaults import DEFAULT_MAX_STEPS, EPS_CONV, MODELS, ORIGINAL_DF, SINGLE_TIMESCALE
 from .errors import InvalidInitialError, MassDriftError, StructureMismatchError
-from .netcore import MultiSink, NetworkStructure, RelativeInteractionMatrix, classify
+from .netcore import (
+    NetworkStructure,
+    RelativeInteractionMatrix,
+    _check_structure_size,
+    classify,
+)
 from .spectral import dominant_left_eigenvector
 
 # Not called here: perfbench's tracer wraps these two names on this module,
@@ -262,17 +267,17 @@ def sink_power(structure: NetworkStructure, x) -> np.ndarray:
     The totals sum to at most 1; the deficit is the mass still held by
     non-sink nodes.
     """
-    if not isinstance(structure, MultiSink):
+    if structure.num_sinks == 1:
         raise StructureMismatchError(
             "sink power is defined only for multi-sink structures, "
-            f"got {type(structure).__name__}"
+            "got one closed class"
         )
     totals = np.empty((1, structure.num_sinks))
     _sink_totals(structure, np.asarray(x, dtype=float)[None, :], totals)
     return totals[0]
 
 
-def _sink_totals(structure: MultiSink, rows: np.ndarray, out: np.ndarray) -> None:
+def _sink_totals(structure: NetworkStructure, rows: np.ndarray, out: np.ndarray) -> None:
     """Write the per-sink totals of every row of `rows` into `out`, shape
     (rows, K).
 
@@ -442,7 +447,8 @@ def simulate(
         )
     if structure is None:
         structure = classify(C)
-    multi = isinstance(structure, MultiSink)
+    _check_structure_size(C, structure)
+    multi = structure.num_sinks > 1
 
     # advance(states) steps from states[0] into each later row in turn
     if model == SINGLE_TIMESCALE:

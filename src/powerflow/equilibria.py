@@ -53,9 +53,9 @@ from .errors import (
     StructureMismatchError,
 )
 from .netcore import (
-    MultiSink,
     NetworkStructure,
     RelativeInteractionMatrix,
+    _check_structure_size,
     classify,
 )
 from .spectral import CentralityProfile
@@ -244,6 +244,7 @@ def predict_limit(
     per-class rule at total 1: the star centre's vertex or the interior
     point, zero off the sink, solved to residual `eps`.
     """
+    _check_structure_size(C, structure)
     x0 = check_simplex(x0)
     v = vertex_index(x0)
     x_star = np.zeros(structure.n)
@@ -278,10 +279,10 @@ def assemble_multisink_equilibrium(
     (scores (1/2, 1/2)) thus getting the even split.  Each total must lie
     in [0, 1], their sum within 1e-9 of 1.
     """
-    if not isinstance(structure, MultiSink):
+    if structure.num_sinks == 1:
         raise StructureMismatchError(
             "assembling a per-sink equilibrium requires a multi-sink "
-            f"structure, got {type(structure).__name__}"
+            "structure, got one closed class"
         )
     zeta = np.asarray(zeta_star, dtype=float)
     if zeta.size != structure.num_sinks:

@@ -70,7 +70,8 @@ class InvalidInitialError(PowerflowError):
 
 
 class StructureMismatchError(PowerflowError):
-    """Operation applied to a network structure variant it does not support."""
+    """A network structure that does not fit the operation: one closed class
+    where several are needed, or classified from a network of another size."""
 
 
 class DimensionTooSmallError(PowerflowError):

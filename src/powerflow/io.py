@@ -27,7 +27,6 @@ from .errors import EmptyAdviceSetError, ParseError
 from .netcore import (
     RelativeInteractionMatrix,
     classify,
-    Irreducible,
     _validate_owned,
     validate_matrix,  # perfbench's tracer wraps powerflow.io.validate_matrix
 )
@@ -234,21 +233,19 @@ def build_doubly_stochastic_random(n: int, seed: int) -> RelativeInteractionMatr
             entries[np.arange(n), perm] += w
         entries = 0.5 * (entries + entries.T)
         C = _validate_owned(entries)
-        if isinstance(classify(C), Irreducible):
+        if len(classify(C).sinks[0]) == n:
             return C
     raise RuntimeError("could not draw a strongly connected matrix")
 
 
 def _status_comment(status) -> str:
-    from .dynamics import Converged, MaxStepsReached, VertexAbsorbed
+    from .dynamics import Converged, VertexAbsorbed
 
     if isinstance(status, Converged):
         return f"# status=converged at={status.at}"
     if isinstance(status, VertexAbsorbed):
         return f"# status=vertex_absorbed vertex={status.vertex} at={status.at}"
-    if isinstance(status, MaxStepsReached):
-        return f"# status=max_steps_reached steps={status.steps}"
-    return f"# status={status!r}"
+    return f"# status=max_steps_reached steps={status.steps}"
 
 
 def write_trajectory_csv(trajectory, path) -> None:

@@ -10,10 +10,12 @@ the pattern, and the classifier that sorts a network by them into one of
 three variants: one component (irreducible), one closed class among
 several components, which is then the set of nodes reachable from every
 node (reducible with a globally reachable set), or several closed classes
-(multi-sink).  Every variant is one record of the closed classes and
-their star centres (`sinks`, `centers` and the 0-based `sink_index`),
-which the other modules read directly, one class at a time; the variant
-names mark the regime and keep their old fields as views.
+(multi-sink).  One record, :class:`NetworkStructure`, holds the closed
+classes and their star centres (`sinks`, `centers` and the 0-based
+`sink_index`), which the other modules read directly, one class at a time.
+The three variants are field-less subclasses of it that name the regime;
+their only extras are the views `star_center`, `reachable` and
+`star_center_of_subgraph`.
 :func:`classify` reads the positive pattern once, and its exact star test
 reads one row plus a row and a column per candidate centre, so its cost is
 that of the pattern pass and Tarjan's O(n + edges) search.
@@ -24,7 +26,7 @@ All node identifiers on public surfaces are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .errors import (
     NegativeEntryError,
     NonSquareError,
     RowSumOutOfToleranceError,
+    StructureMismatchError,
 )
 
 #: Validation tolerance.  File-sourced matrices carry decimal round-off
@@ -169,23 +172,17 @@ def _tarjan(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
     return components
 
 
-@dataclass(frozen=True)
-class Condensation:
-    """Strongly connected components and which of them are closed.
+def _condensation(
+    entries: np.ndarray,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Strongly connected components of the positive-entry pattern of any
+    square matrix, and which of them are closed.
 
-    `components` holds 1-based node tuples in reverse topological order
-    (every component precedes the components that point into it).  `sinks`
-    lists, ascending, the indices of the closed components, those that no
-    edge leaves; a validated network has at least one, and exactly one when
-    some node set is reachable from every node.
+    Returns `(components, closed)`: `components` holds 1-based node tuples
+    in reverse topological order (every component precedes the components
+    that point into it), and `closed` lists, ascending, the indices of the
+    components that no edge leaves; a validated network has at least one.
     """
-
-    components: tuple[tuple[int, ...], ...]
-    sinks: tuple[int, ...]
-
-
-def _condensation(entries: np.ndarray) -> Condensation:
-    """Condensation of the positive-entry pattern of any square matrix."""
     n = entries.shape[0]
     # one pass over the pattern; its column list is cut into rows at the row
     # offsets (a flat nonzero plus divmod is several times faster than 2-D)
@@ -196,7 +193,7 @@ def _condensation(entries: np.ndarray) -> Condensation:
     raw = _tarjan(adjacency)
     components = tuple(tuple(sorted(v + 1 for v in comp)) for comp in raw)
     if len(raw) == 1:
-        return Condensation(components, (0,))
+        return components, (0,)
     # map the pattern edges to components: a component no edge leaves is closed
     component_of = [0] * n
     for k, comp in enumerate(raw):
@@ -205,12 +202,7 @@ def _condensation(entries: np.ndarray) -> Condensation:
     index = np.array(component_of)
     src = index[heads]
     left = set(src[src != index[tails]].tolist())
-    return Condensation(components, tuple(k for k in range(len(raw)) if k not in left))
-
-
-def strongly_connected_components(C: RelativeInteractionMatrix) -> Condensation:
-    """Components of the weight digraph of `C` (edge i -> j iff c_ij > 0)."""
-    return _condensation(C.entries)
+    return components, tuple(k for k in range(len(raw)) if k not in left)
 
 
 def star_center(
@@ -248,8 +240,8 @@ def star_center(
 
 
 @dataclass(frozen=True)
-class _ClosedClasses:
-    """A network's closed classes, the record behind every variant.
+class NetworkStructure:
+    """A network's closed classes, the one record of its structure.
 
     `sinks` holds each class as an ascending 1-based node tuple, ordered by
     smallest node, and `centers` each class's star centre or None.
@@ -278,7 +270,19 @@ class _ClosedClasses:
         return tuple(v for v in range(1, self.n + 1) if v not in in_sink)
 
 
-class Irreducible(_ClosedClasses):
+def _check_structure_size(
+    C: RelativeInteractionMatrix, structure: NetworkStructure
+) -> None:
+    """StructureMismatchError unless `structure` was classified from a
+    network of `C`'s size."""
+    if structure.n != C.n:
+        raise StructureMismatchError(
+            f"structure was classified from a {structure.n}-node network, "
+            f"not this {C.n}-node one"
+        )
+
+
+class Irreducible(NetworkStructure):
     """Strongly connected: the whole network is the one closed class, and
     `star_center` is set iff the star predicate holds."""
 
@@ -287,7 +291,7 @@ class Irreducible(_ClosedClasses):
         return self.centers[0]
 
 
-class ReducibleReachable(_ClosedClasses):
+class ReducibleReachable(NetworkStructure):
     """Not strongly connected, with one closed class: `reachable`, the
     globally reachable nodes, where power eventually concentrates.
     `star_center_of_subgraph` is set iff that class is a star."""
@@ -301,29 +305,8 @@ class ReducibleReachable(_ClosedClasses):
         return self.centers[0]
 
 
-class MultiSink(_ClosedClasses):
-    """Two or more closed classes plus transient (non-sink) nodes.
-
-    `permutation` lists original 1-based node ids in normal-form order:
-    sink 1 nodes, then sink 2 nodes, ..., then non-sink nodes.  Reindexing
-    rows and columns by it yields a block lower-triangular matrix whose
-    leading diagonal blocks are the irreducible row-stochastic sinks.
-    """
-
-    @property
-    def permutation(self) -> tuple[int, ...]:
-        return tuple(v for s in self.sinks for v in s) + self.non_sink_nodes
-
-    @property
-    def sink_sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.sinks)
-
-    @property
-    def m(self) -> int:
-        return self.n - sum(self.sink_sizes)
-
-
-NetworkStructure = Union[Irreducible, ReducibleReachable, MultiSink]
+class MultiSink(NetworkStructure):
+    """Two or more closed classes, plus the transient nodes in none."""
 
 
 def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
@@ -334,9 +317,9 @@ def classify(C: RelativeInteractionMatrix) -> NetworkStructure:
     a single closed class among several components ReducibleReachable, and
     several closed classes MultiSink.
     """
-    condensation = strongly_connected_components(C)
+    components, closed = _condensation(C.entries)
     # disjoint ascending tuples sort by their smallest node
-    sinks = tuple(sorted(condensation.components[k] for k in condensation.sinks))
-    variant = (Irreducible if len(condensation.components) == 1
+    sinks = tuple(sorted(components[k] for k in closed))
+    variant = (Irreducible if len(components) == 1
                else ReducibleReachable if len(sinks) == 1 else MultiSink)
     return variant(C.n, sinks, tuple(star_center(C, s) for s in sinks))

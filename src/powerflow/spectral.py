@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoConvergenceError
-from .netcore import NetworkStructure, RelativeInteractionMatrix
+from .netcore import NetworkStructure, RelativeInteractionMatrix, _check_structure_size
 
 #: Residual target for eigenvector computations (max norm of v M - v).
 EPS_SPECTRAL = 1e-12
@@ -105,6 +105,7 @@ def centrality_profile(
     :func:`dominant_left_eigenvector`).  `global_c` is the lifted vector of
     the only class when there is one, and None with several.
     """
+    _check_structure_size(C, structure)
     per_sink, lifted = [], []
     for idx in structure.sink_index:
         # a class spanning the network is solved on C itself, not a copy

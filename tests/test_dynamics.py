@@ -215,8 +215,8 @@ def _closed_classes_reference(C, absorbing):
     sinks of W(indicator of that set), whose pattern every such W(x) has."""
     indicator = np.zeros(C.n)
     indicator[list(absorbing)] = 1.0
-    condensation = _condensation(pf.influence_matrix(C, indicator).entries)
-    return {frozenset(v - 1 for v in condensation.components[k]) for k in condensation.sinks}
+    components, closed = _condensation(pf.influence_matrix(C, indicator).entries)
+    return {frozenset(v - 1 for v in components[k]) for k in closed}
 
 
 def _transient_patterns(rng, count):

@@ -12,7 +12,7 @@ from powerflow.errors import (
     RowSumOutOfToleranceError,
 )
 
-from powerflow.netcore import Condensation, _condensation, _tarjan
+from powerflow.netcore import _condensation, _tarjan
 
 import nets
 from test_regimes import REGIMES
@@ -149,34 +149,30 @@ def _condensation_per_row(entries):
         for k, comp in enumerate(raw)
         if set(comp).issuperset(j for i in comp for j in adjacency[i])
     )
-    return Condensation(
-        components=tuple(tuple(sorted(v + 1 for v in comp)) for comp in raw),
-        sinks=sinks,
-    )
+    return tuple(tuple(sorted(v + 1 for v in comp)) for comp in raw), sinks
 
 
-def _closed_components(cond):
-    return {cond.components[k] for k in cond.sinks}
+def _closed_components(components, closed):
+    return {components[k] for k in closed}
 
 
 class TestStronglyConnectedComponents:
     def test_ring_is_one_component(self):
         C = nets.ring3()
-        cond = pf.strongly_connected_components(C)
-        assert cond.components == ((1, 2, 3),)
-        assert cond.sinks == (0,)
-        assert _closed_components(cond) == _brute_force_sinks(C.entries, cond.components)
+        components, closed = _condensation(C.entries)
+        assert components == ((1, 2, 3),)
+        assert closed == (0,)
+        assert _closed_components(components, closed) == _brute_force_sinks(C.entries, components)
 
     def test_two_sink_block_example(self):
-        cond = pf.strongly_connected_components(nets.two_sink_five())
-        assert len(cond.components) == 3
-        comp_sets = {cond.components[k] for k in cond.sinks}
-        assert comp_sets == {(1, 2), (3, 4)}
+        components, closed = _condensation(nets.two_sink_five().entries)
+        assert len(components) == 3
+        assert _closed_components(components, closed) == {(1, 2), (3, 4)}
 
     def test_reachable_pair_example(self):
-        cond = pf.strongly_connected_components(nets.reachable_pair())
-        assert set(cond.components) == {(1, 2), (3,)}
-        assert [cond.components[k] for k in cond.sinks] == [(1, 2)]
+        components, closed = _condensation(nets.reachable_pair().entries)
+        assert set(components) == {(1, 2), (3,)}
+        assert [components[k] for k in closed] == [(1, 2)]
 
     def test_reverse_topological_order(self):
         # every positive entry between two components must point from a
@@ -184,22 +180,22 @@ class TestStronglyConnectedComponents:
         rng = np.random.default_rng(5)
         for _ in range(50):
             C = nets.random_binary_pattern(rng, int(rng.integers(3, 8)))
-            cond = pf.strongly_connected_components(C)
-            slot = {v: k for k, comp in enumerate(cond.components) for v in comp}
+            components, closed = _condensation(C.entries)
+            slot = {v: k for k, comp in enumerate(components) for v in comp}
             for i, j in zip(*np.nonzero(C.entries > 0)):
                 assert slot[i + 1] >= slot[j + 1]
-            assert _closed_components(cond) == _brute_force_sinks(C.entries, cond.components)
+            assert _closed_components(components, closed) == _brute_force_sinks(C.entries, components)
 
     def test_against_transitive_closure_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             n = int(rng.integers(2, 6))
             C = nets.random_binary_pattern(rng, n)
-            cond = pf.strongly_connected_components(C)
+            components, closed = _condensation(C.entries)
             expected = _brute_force_components(C.entries)
-            assert set(cond.components) == expected
+            assert set(components) == expected
             expected_sinks = _brute_force_sinks(C.entries, expected)
-            assert {cond.components[k] for k in cond.sinks} == expected_sinks
+            assert _closed_components(components, closed) == expected_sinks
 
     def test_matches_per_row_adjacency_on_sparse_digraphs(self):
         # raw patterns, not validated: rows may be empty, the last ones too
@@ -216,9 +212,9 @@ class TestStronglyConnectedComponents:
         for C in (nets.reducible_star_ten(), nets.two_sink_six(), nets.transient_cycle_six()):
             for i in range(C.n):
                 W = pf.influence_matrix(C, np.eye(C.n)[i]).entries
-                cond = _condensation(W)
-                assert cond == _condensation_per_row(W)
-                assert (i + 1,) in cond.components
+                components, closed = _condensation(W)
+                assert (components, closed) == _condensation_per_row(W)
+                assert (i + 1,) in components
             W = pf.influence_matrix(C, nets.random_interior(rng, C.n)).entries
             assert _condensation(W) == _condensation_per_row(W)
 
@@ -264,26 +260,26 @@ class TestCondensationAgainstReachability:
         for _ in range(150):
             n = int(rng.integers(1, 40))
             entries = _mostly_acyclic(rng, n)
-            cond = _condensation(entries)
+            components, closed = _condensation(entries)
             reach = _reachability(entries)
             mutual = reach & reach.T
             expected = {tuple((np.flatnonzero(mutual[i]) + 1).tolist()) for i in range(n)}
-            assert len(cond.components) == len(expected)
-            assert set(cond.components) == expected
-            assert sorted(v for comp in cond.components for v in comp) == list(range(1, n + 1))
+            assert len(components) == len(expected)
+            assert set(components) == expected
+            assert sorted(v for comp in components for v in comp) == list(range(1, n + 1))
             # reverse topological: a component reachable from another comes first
-            for a, comp_a in enumerate(cond.components):
-                for b, comp_b in enumerate(cond.components):
+            for a, comp_a in enumerate(components):
+                for b, comp_b in enumerate(components):
                     if a != b and reach[comp_a[0] - 1, comp_b[0] - 1]:
                         assert b < a
             # closed: the component reaches no node outside itself
-            assert list(cond.sinks) == sorted(cond.sinks)
-            assert _closed_components(cond) == {
+            assert list(closed) == sorted(closed)
+            assert _closed_components(components, closed) == {
                 comp
                 for comp in expected
                 if np.count_nonzero(reach[comp[0] - 1]) == len(comp)
             }
-            singletons += sum(len(c) == 1 for c in cond.components)
+            singletons += sum(len(c) == 1 for c in components)
             nodes += n
         assert singletons > nodes / 2
 
@@ -292,15 +288,13 @@ class TestCondensationAgainstReachability:
         n = 5000
         entries = np.zeros((n, n), dtype=bool)
         entries[np.arange(n - 1), np.arange(1, n)] = True
-        cond = _condensation(entries)
+        components, closed = _condensation(entries)
         # the search from node 1 reaches node n last and emits it first
-        assert cond.components == tuple((v,) for v in range(n, 0, -1))
+        assert components == tuple((v,) for v in range(n, 0, -1))
         # node n, the end of the path, is the one closed component
-        assert cond.sinks == (0,)
+        assert closed == (0,)
         entries[n - 1, 0] = True
-        cond = _condensation(entries)
-        assert cond.components == (tuple(range(1, n + 1)),)
-        assert cond.sinks == (0,)
+        assert _condensation(entries) == ((tuple(range(1, n + 1)),), (0,))
 
 
 def _globally_reachable_set(C):
@@ -471,17 +465,16 @@ class TestClassify:
         assert isinstance(structure, pf.MultiSink)
         assert structure.sinks == ((1, 2), (3, 4))
         assert structure.non_sink_nodes == (5,)
-        assert structure.sink_sizes == (2, 2)
-        assert structure.m == 1
-        assert sum(structure.sink_sizes) + structure.m == structure.n
+        assert sum(map(len, structure.sinks)) + len(structure.non_sink_nodes) == structure.n
 
     def test_permutation_yields_normal_form(self):
         structure = pf.classify(nets.two_sink_six())
         C = nets.two_sink_six()
-        perm = np.asarray(structure.permutation, dtype=int) - 1
+        # normal-form order: sink 1 nodes, then sink 2 nodes, ..., then non-sink nodes
+        perm = np.asarray(sum(structure.sinks, ()) + structure.non_sink_nodes) - 1
         P = C.entries[np.ix_(perm, perm)]
         offset = 0
-        for size in structure.sink_sizes:
+        for size in map(len, structure.sinks):
             block = P[offset : offset + size, offset : offset + size]
             # sink rows live entirely inside their own diagonal block
             assert np.allclose(P[offset : offset + size].sum(axis=1), block.sum(axis=1))
@@ -535,18 +528,17 @@ def test_structure_views_follow_sinks_and_centers(C):
     assert structure.non_sink_nodes == tuple(
         v for v in range(1, C.n + 1) if v not in in_sink
     )
+    # the class is the one the record implies
+    assert isinstance(structure, pf.NetworkStructure)
+    whole = sinks == (tuple(range(1, C.n + 1)),)
+    assert isinstance(structure, pf.Irreducible) == whole
+    assert isinstance(structure, pf.ReducibleReachable) == (len(sinks) == 1 and not whole)
+    assert isinstance(structure, pf.MultiSink) == (len(sinks) >= 2)
     if isinstance(structure, pf.Irreducible):
-        assert sinks == (tuple(range(1, C.n + 1)),)
         assert structure.star_center == centers[0]
     elif isinstance(structure, pf.ReducibleReachable):
         assert structure.reachable == sinks[0]
         assert structure.star_center_of_subgraph == centers[0]
-    else:
-        assert structure.permutation == (
-            tuple(v for s in sinks for v in s) + structure.non_sink_nodes
-        )
-        assert structure.sink_sizes == tuple(len(s) for s in sinks)
-        assert structure.m == len(structure.non_sink_nodes)
     twin = pf.classify(C)
     assert twin is not structure
     assert twin == structure and hash(twin) == hash(structure)

@@ -12,6 +12,8 @@ import powerflow as pf
 from powerflow.cli import main
 from powerflow.defaults import EPS_EQUILIBRIUM
 from powerflow.equilibria import fixed_point_residual, solve_interior_equilibrium
+from powerflow.errors import StructureMismatchError
+from powerflow.netcore import _condensation
 from powerflow.spectral import CentralityProfile, dominant_left_eigenvector
 
 import nets
@@ -327,10 +329,33 @@ def test_sink_index_matches_the_condensation_sinks():
     rng = np.random.default_rng(11)
     for _ in range(40):
         C = nets.random_binary_pattern(rng, int(rng.integers(2, 12)))
-        condensation = pf.strongly_connected_components(C)
-        sinks = sorted(condensation.components[k] for k in condensation.sinks)
-        index = pf.classify(C).sink_index
-        assert sorted(tuple((idx + 1).tolist()) for idx in index) == sinks
+        components, closed = _condensation(C.entries)
+        sinks = sorted(components[k] for k in closed)
+        structure = pf.classify(C)
+        assert sorted(tuple((idx + 1).tolist()) for idx in structure.sink_index) == sinks
+        # the class is the one the record implies
+        whole = len(sinks) == 1 and len(sinks[0]) == C.n
+        assert isinstance(structure, pf.Irreducible) == whole
+        assert isinstance(structure, pf.ReducibleReachable) == (len(sinks) == 1 and not whole)
+        assert isinstance(structure, pf.MultiSink) == (len(sinks) >= 2)
+
+
+UNIFORM4 = np.full(4, 0.25)
+MISMATCHED_CALLS = {
+    "centrality_profile": lambda C, other: pf.centrality_profile(C, other),
+    "simulate-st": lambda C, other: pf.simulate("st", C, UNIFORM4, structure=other),
+    "simulate-df": lambda C, other: pf.simulate("df", C, UNIFORM4, structure=other),
+    "predict_limit": lambda C, other: pf.predict_limit(
+        C, other, pf.centrality_profile(C, pf.classify(C)), UNIFORM4
+    ),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHED_CALLS.values(), ids=MISMATCHED_CALLS.keys())
+def test_structure_of_another_network_is_rejected(call):
+    # a strongly connected 4-ring against the structure of a 5-node two-sink network
+    with pytest.raises(StructureMismatchError, match=r"5-node .* 4-node"):
+        call(pf.build_ring(4), pf.classify(nets.two_sink_five()))
 
 
 # ------------------------------------------------------- centrality_profile
