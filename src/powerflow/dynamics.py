@@ -95,6 +95,17 @@ def check_simplex(x, eps: float = EPS_SIMPLEX) -> np.ndarray:
     return x
 
 
+def _check_initial(x0, n: int, eps: float = EPS_SIMPLEX) -> np.ndarray:
+    """x0 as by :func:`check_simplex`, after verifying it has a component
+    for each of the network's n nodes."""
+    x = check_simplex(x0, eps)
+    if x.size != n:
+        raise InvalidInitialError(
+            f"initial vector has {x.size} components for a {n}-node network"
+        )
+    return x
+
+
 def vertex_index(x, eps: float = EPS_SIMPLEX) -> Optional[int]:
     """1-based i when x lies within eps of the autocratic vertex e_i."""
     i = int(np.argmax(x))
@@ -265,15 +276,19 @@ def sink_power(structure: NetworkStructure, x) -> np.ndarray:
     """Per-sink power totals: zeta_k = sum of self-weights inside sink k.
 
     The totals sum to at most 1; the deficit is the mass still held by
-    non-sink nodes.
+    non-sink nodes.  `x` must lie in the simplex within EPS_SIMPLEX
+    (InvalidInitialError) and have `structure.n` components
+    (StructureMismatchError).
     """
     if structure.num_sinks == 1:
         raise StructureMismatchError(
             "sink power is defined only for multi-sink structures, "
             "got one closed class"
         )
+    x = check_simplex(x)
+    _check_structure_size(structure, x.size)
     totals = np.empty((1, structure.num_sinks))
-    _sink_totals(structure, np.asarray(x, dtype=float)[None, :], totals)
+    _sink_totals(structure, x[None, :], totals)
     return totals[0]
 
 
@@ -439,15 +454,11 @@ def simulate(
     # written to fail on NaN too
     if not eps_conv >= 0.0:
         raise ValueError(f"eps_conv must be at least 0, got {eps_conv!r}")
-    x = check_simplex(x0, eps_simplex).astype(float)
     n = C.n
-    if x.size != n:
-        raise InvalidInitialError(
-            f"initial vector has {x.size} components for a {n}-node network"
-        )
+    x = _check_initial(x0, n, eps_simplex).astype(float)
     if structure is None:
         structure = classify(C)
-    _check_structure_size(C, structure)
+    _check_structure_size(structure, n)
     multi = structure.num_sinks > 1
 
     # advance(states) steps from states[0] into each later row in turn

@@ -41,7 +41,7 @@ from .defaults import (
 )
 from .dynamics import (
     Trajectory,
-    check_simplex,
+    _check_initial,
     fixed_point_residual,
     simulate,
     vertex_index,
@@ -236,16 +236,17 @@ def predict_limit(
     family predictions mark the regimes where the realized member depends
     on the transient and must come from simulation.
 
-    `x0` must lie in the simplex within EPS_SIMPLEX, and a start within
-    EPS_SIMPLEX of a vertex is autocratic.  Past an autocratic start only
-    the structure matters: several sinks give the multi-sink family and a
-    two-node sink the two-node family.  Any other single sink (the whole
+    `x0` must lie in the simplex within EPS_SIMPLEX and have `C.n`
+    components (InvalidInitialError), and a start within EPS_SIMPLEX of a
+    vertex is autocratic.  Past an autocratic start only the structure
+    matters: several sinks give the multi-sink family and a two-node sink
+    the two-node family.  Any other single sink (the whole
     network or the reachable set) holds all power and gets the assembly's
     per-class rule at total 1: the star centre's vertex or the interior
     point, zero off the sink, solved to residual `eps`.
     """
-    _check_structure_size(C, structure)
-    x0 = check_simplex(x0)
+    _check_structure_size(structure, C.n)
+    x0 = _check_initial(x0, C.n)
     v = vertex_index(x0)
     x_star = np.zeros(structure.n)
     if v is not None:
@@ -277,12 +278,22 @@ def assemble_multisink_equilibrium(
     weight to another, is solved by :func:`solve_interior_equilibrium` from
     its centrality scores with the sink total as mass, a two-node sink
     (scores (1/2, 1/2)) thus getting the even split.  Each total must lie
-    in [0, 1], their sum within 1e-9 of 1.
+    in [0, 1], their sum within 1e-9 of 1.  `profile` must hold one score
+    vector per sink of `structure`, each of that sink's size
+    (StructureMismatchError).
     """
     if structure.num_sinks == 1:
         raise StructureMismatchError(
             "assembling a per-sink equilibrium requires a multi-sink "
             "structure, got one closed class"
+        )
+    sizes = tuple(idx.size for idx in structure.sink_index)
+    profile_sizes = tuple(c.size for c in profile.per_sink)
+    if profile_sizes != sizes:
+        raise StructureMismatchError(
+            f"structure was classified from a {structure.n}-node network with "
+            f"sink sizes {sizes}, not the {profile.lifted[0].size}-node one of "
+            f"this profile, with sink sizes {profile_sizes}"
         )
     zeta = np.asarray(zeta_star, dtype=float)
     if zeta.size != structure.num_sinks:

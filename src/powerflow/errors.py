@@ -66,7 +66,8 @@ class NoConvergenceError(PowerflowError):
 
 
 class InvalidInitialError(PowerflowError):
-    """Initial self-weight vector is not a point of the unit simplex."""
+    """A self-weight vector is not a point of the unit simplex, or an
+    initial one has not one component per node of the network."""
 
 
 class StructureMismatchError(PowerflowError):

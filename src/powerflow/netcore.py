@@ -270,15 +270,13 @@ class NetworkStructure:
         return tuple(v for v in range(1, self.n + 1) if v not in in_sink)
 
 
-def _check_structure_size(
-    C: RelativeInteractionMatrix, structure: NetworkStructure
-) -> None:
+def _check_structure_size(structure: NetworkStructure, n: int) -> None:
     """StructureMismatchError unless `structure` was classified from a
-    network of `C`'s size."""
-    if structure.n != C.n:
+    network of n nodes."""
+    if structure.n != n:
         raise StructureMismatchError(
             f"structure was classified from a {structure.n}-node network, "
-            f"not this {C.n}-node one"
+            f"not this {n}-node one"
         )
 
 

@@ -105,7 +105,7 @@ def centrality_profile(
     :func:`dominant_left_eigenvector`).  `global_c` is the lifted vector of
     the only class when there is one, and None with several.
     """
-    _check_structure_size(C, structure)
+    _check_structure_size(structure, C.n)
     per_sink, lifted = [], []
     for idx in structure.sink_index:
         # a class spanning the network is solved on C itself, not a copy

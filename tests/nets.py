@@ -72,6 +72,14 @@ STAR_SINK_ADJACENCY = "1: 2 3 4\n2: 1\n3: 1\n4: 1\n5: 6\n6: 5\n7: 1 5\n"
 TWO_PAIR_ADJACENCY = "1: 2\n2: 1\n3: 4\n4: 3\n5: 1 3\n"
 
 
+def two_pair_five():
+    """The network of TWO_PAIR_ADJACENCY as a matrix."""
+    entries = np.zeros((5, 5))
+    entries[0, 1] = entries[1, 0] = entries[2, 3] = entries[3, 2] = 1.0
+    entries[4, [0, 2]] = 0.5
+    return validate_matrix(entries)
+
+
 def star_sink_seven():
     """The network of STAR_SINK_ADJACENCY as a matrix."""
     entries = np.zeros((7, 7))

@@ -401,6 +401,21 @@ class TestMatrixBytes:
     def test_spellings(self, tmp_path, entries):
         self._assert_same_bytes(pf.validate_matrix(entries), tmp_path)
 
+    @pytest.mark.parametrize("source", ["ds:40:3", "adjacency:300"])
+    def test_built_and_adjacency_networks(self, tmp_path, source):
+        if source == "ds:40:3":
+            C = pf.build_doubly_stochastic_random(40, 3)
+        else:
+            # node i asks the next 1 to 9 nodes on the ring: rows of 1/k
+            path = tmp_path / "sparse.adj.txt"
+            n = 300
+            nets.write_lines(path, [
+                f"{i + 1}: " + " ".join(str((i + d) % n + 1) for d in range(1, 2 + i % 9))
+                for i in range(n)
+            ])
+            C = pf.load_network(path)
+        self._assert_same_bytes(C, tmp_path)
+
     def test_large_sparse_matrix_spans_many_chunks(self, tmp_path):
         # mostly zeros, like the large files of the benchmark corpus
         n = 1200

@@ -1,10 +1,17 @@
-"""The README's library tour runs and gives the values its comments state."""
+"""The README's library tour runs and gives the values its comments state,
+and each of its CLI examples exits 0 and writes the files it names."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from powerflow.cli import main
+
+import nets
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +40,28 @@ def test_library_tour():
     assert prediction.kind == "unique_interior"
     # both rules agree here
     assert distance < 1e-11
+
+
+def _cli_examples():
+    """The argument lists of the commands in the block after "Examples:"."""
+    (block,) = re.findall(r"^Examples:\n\n```\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert all(argv[0] == "powerflow" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+def _written_files(argv):
+    if "--out" not in argv:
+        return []
+    out = argv[argv.index("--out") + 1]
+    return [f"{out}.st.csv", f"{out}.df.csv"] if argv[0] == "compare" else [out]
+
+
+@pytest.mark.parametrize("argv", _cli_examples(), ids=" ".join)
+def test_cli_example(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    nets.write_lines(tmp_path / "advice.txt", nets.synthetic_krackhardt_lines())
+    (tmp_path / "twosink.txt").write_text(nets.TWO_PAIR_ADJACENCY, encoding="utf-8")
+    assert main(argv) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(["advice.txt", "twosink.txt", *_written_files(argv)])

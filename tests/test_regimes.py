@@ -12,7 +12,7 @@ import powerflow as pf
 from powerflow.cli import main
 from powerflow.defaults import EPS_EQUILIBRIUM
 from powerflow.equilibria import fixed_point_residual, solve_interior_equilibrium
-from powerflow.errors import StructureMismatchError
+from powerflow.errors import InvalidInitialError, StructureMismatchError
 from powerflow.netcore import _condensation
 from powerflow.spectral import CentralityProfile, dominant_left_eigenvector
 
@@ -25,6 +25,13 @@ REACHABLE_INTERIOR = [
     [0.0, 0.0, 0.5, 0.5],
     [0.0, 1.0, 0.0, 0.0],
     [0.0, 0.5, 0.5, 0.0],
+]
+# the swap {2, 3} with two nodes outside it: 1 asks 2 and 3, 4 asks 1
+REACHABLE_PAIR_TWO_OUTSIDE = [
+    [0.0, 0.5, 0.5, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0],
 ]
 
 # the three-node equilibrium is (15, 5, 3) / 23, with x_i (1 - x_i) / c_i = 270/529
@@ -93,6 +100,15 @@ REGIMES = [
                   "centrality: [0.5, 0.5, 0]"],
     ),
     Regime(
+        "reachable-pair-two-outside", REACHABLE_PAIR_TWO_OUTSIDE, "two_node_family", None, (2, 3),
+        ["regime: reachable-pair",
+         "equilibrium family: (alpha, 1-alpha) on nodes 2, 3, zero elsewhere; "
+         "alpha depends on the trajectory"],
+        classify=["nodes: 4", "structure: reducible, globally reachable set of size 2",
+                  "reachable set: {2, 3}", "outside reachable set: {1, 4}",
+                  "centrality: [0, 0.5, 0.5, 0]"],
+    ),
+    Regime(
         "reachable-star", nets.reducible_star_ten().entries, "star_autocrat", 1, None,
         ["regime: reachable-star(center=1)",
          "autocrat at node 1; interior equilibria: none"],
@@ -122,6 +138,17 @@ REGIMES = [
                   "sink 1: {1, 2} (size 2)", "sink 2: {3, 4, 5} (size 3)",
                   "non-sink nodes: {6} (m=1)", "sink 1 centrality: [0.5, 0.5]",
                   "sink 2 centrality: [0.444444444444, 0.333333333333, 0.222222222222]"],
+    ),
+    Regime(
+        "multi-sink-pairs", nets.two_pair_five().entries, "multi_sink_family", None, (1, 2, 3, 4),
+        ["regime: multi-sink(K=2)",
+         "equilibrium family: one equilibrium per split of power among the 2 "
+         "sinks; pass --zeta to assemble one",
+         "sink 1 centrality: [0.5, 0.5]", "sink 2 centrality: [0.5, 0.5]"],
+        classify=["nodes: 5", "structure: multi-sink, K=2 sinks",
+                  "sink 1: {1, 2} (size 2)", "sink 2: {3, 4} (size 2)",
+                  "non-sink nodes: {5} (m=1)",
+                  "sink 1 centrality: [0.5, 0.5]", "sink 2 centrality: [0.5, 0.5]"],
     ),
 ]
 
@@ -273,6 +300,24 @@ def test_equilibrium_zeta_assembles_a_member(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "zeta, tail",
+    [
+        ("0.5,0.5", ["sink power: [0.5, 0.5]",
+                     "assembled equilibrium: [0.25, 0.25, 0.25, 0.25, 0]",
+                     "residual: 0"]),
+        ("1,0", ["equilibrium family: sink 1 holds all power: its equilibria are "
+                 "the family (a, 1-a); pass alpha to pick one"]),
+    ],
+    ids=["even-split", "all-power-on-sink-1"],
+)
+def test_equilibrium_zeta_on_two_pair_sinks(capsys, tmp_path, zeta, tail):
+    path = tmp_path / "two_pair.txt"
+    path.write_text(nets.TWO_PAIR_ADJACENCY)
+    lines = equilibrium_stdout(capsys, path, "--zeta", zeta)
+    assert lines == ["regime: multi-sink(K=2)", "fixed points: every autocratic vertex e_i", *tail]
+
+
 def test_equilibrium_zeta_all_power_on_a_star_sink(capsys, tmp_path):
     # sink 1 is a star centred on node 1: its vertex is the equilibrium
     path = tmp_path / "star_sink.txt"
@@ -348,6 +393,10 @@ MISMATCHED_CALLS = {
     "predict_limit": lambda C, other: pf.predict_limit(
         C, other, pf.centrality_profile(C, pf.classify(C)), UNIFORM4
     ),
+    "sink_power": lambda C, other: pf.sink_power(other, UNIFORM4),
+    "assemble_multisink_equilibrium": lambda C, other: pf.assemble_multisink_equilibrium(
+        other, pf.centrality_profile(C, pf.classify(C)), [0.5, 0.5]
+    ),
 }
 
 
@@ -356,6 +405,56 @@ def test_structure_of_another_network_is_rejected(call):
     # a strongly connected 4-ring against the structure of a 5-node two-sink network
     with pytest.raises(StructureMismatchError, match=r"5-node .* 4-node"):
         call(pf.build_ring(4), pf.classify(nets.two_sink_five()))
+
+
+def _predict_three_node(x0):
+    C = nets.three_node()
+    structure = pf.classify(C)
+    return pf.predict_limit(C, structure, pf.centrality_profile(C, structure), x0)
+
+
+def _two_sink_five_sink_power(x):
+    return pf.sink_power(pf.classify(nets.two_sink_five()), x)
+
+
+BAD_VECTOR_CALLS = {
+    "sink_power-longer": (
+        lambda: _two_sink_five_sink_power(np.full(7, 1 / 7)),
+        StructureMismatchError, r"5-node .* 7-node",
+    ),
+    "sink_power-off-simplex": (
+        lambda: _two_sink_five_sink_power([2.0, -1.0, 0.0, 0.0, 0.0]),
+        InvalidInitialError, r"components must lie in \[0, 1\]",
+    ),
+    "predict_limit-longer": (
+        lambda: _predict_three_node(np.full(5, 0.2)),
+        InvalidInitialError, "initial vector has 5 components for a 3-node network",
+    ),
+    "predict_limit-shorter": (
+        lambda: _predict_three_node(np.full(2, 0.5)),
+        InvalidInitialError, "initial vector has 2 components for a 3-node network",
+    ),
+    "predict_limit-vertex": (
+        lambda: _predict_three_node(np.eye(5)[4]),
+        InvalidInitialError, "initial vector has 5 components for a 3-node network",
+    ),
+    "assemble-profile-of-another-network": (
+        lambda: pf.assemble_multisink_equilibrium(
+            pf.classify(nets.two_sink_five()),
+            pf.centrality_profile(nets.two_sink_six(), pf.classify(nets.two_sink_six())),
+            [0.5, 0.5],
+        ),
+        StructureMismatchError, r"sink sizes \(2, 2\), not the 6-node .* sizes \(2, 3\)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, error, message", BAD_VECTOR_CALLS.values(), ids=BAD_VECTOR_CALLS.keys()
+)
+def test_vector_or_profile_that_does_not_fit_is_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ------------------------------------------------------- centrality_profile
