@@ -23,7 +23,7 @@ import re
 
 import numpy as np
 
-from .errors import EmptyAdviceSetError, ParseError
+from .errors import EmptyAdviceSetError, NonSquareError, ParseError
 from .netcore import (
     RelativeInteractionMatrix,
     classify,
@@ -68,11 +68,18 @@ def _content_lines(path) -> list[tuple[int, str]]:
 def _parse_dense(lines: list[tuple[int, str]]) -> RelativeInteractionMatrix:
     if not lines:
         raise ParseError(0, "file holds no matrix rows")
-    entries = None
+    n = len(lines)
+    # allocate the n x n array only once every line is seen to hold n
+    # fields, so its size follows the file's, not its first line's.  The
+    # rows of any other file are still converted, so that the first bad or
+    # ragged line raises; a file of equal rows ends as NonSquareError.
+    square = all(len(_dense_fields(text)) == n for _, text in lines)
+    entries = np.empty((n, n)) if square else None
+    width = None
     for i, (line_no, text) in enumerate(lines):
         if "," in text and (text[0] == "," or text[-1] == "," or _COMMA_PAIR.search(text)):
             raise ParseError(line_no, "empty field: every comma must stand between two values")
-        parts = text.replace(",", " ").split()
+        parts = _dense_fields(text)
         try:
             # numpy converts each str with Python's float(), so the
             # accepted spellings ("1_0", "inf", ...) are float()'s
@@ -80,14 +87,19 @@ def _parse_dense(lines: list[tuple[int, str]]) -> RelativeInteractionMatrix:
         except ValueError:
             bad = next(p for p in parts if not _is_float(p))
             raise ParseError(line_no, f"not a number: {bad!r}") from None
-        if entries is None:
-            entries = np.empty((len(lines), row.size))
-        elif row.size != entries.shape[1]:
-            raise ParseError(
-                line_no, f"expected {entries.shape[1]} values per row, got {row.size}"
-            )
-        entries[i] = row
+        if width is None:
+            width = row.size
+        elif row.size != width:
+            raise ParseError(line_no, f"expected {width} values per row, got {row.size}")
+        if square:
+            entries[i] = row
+    if not square:
+        raise NonSquareError((n, width))
     return _validate_owned(entries)
+
+
+def _dense_fields(text: str) -> list[str]:
+    return text.replace(",", " ").split()
 
 
 def _is_float(token: str) -> bool:
@@ -122,12 +134,14 @@ def _parse_adjacency(lines: list[tuple[int, str]]) -> RelativeInteractionMatrix:
         # drop self-nominations and repeats, keeping first-listed order
         advice[node] = list(dict.fromkeys(j for j in targets if j != node))
         max_node = max(max_node, node, *targets) if targets else max(max_node, node)
+    # every node 1..n needs advisors before the n x n array exists: n
+    # follows the largest id named, not the file's size
     n = max_node
-    entries = np.zeros((n, n))
     for node in range(1, n + 1):
-        targets = advice.get(node, [])
-        if not targets:
+        if not advice.get(node):
             raise EmptyAdviceSetError(node)
+    entries = np.zeros((n, n))
+    for node, targets in advice.items():
         weight = 1.0 / len(targets)
         for j in targets:
             entries[node - 1, j - 1] = weight

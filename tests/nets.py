@@ -1,8 +1,10 @@
-"""Shared test networks, random generators, and synthetic stand-in data."""
+"""Shared test networks, random generators, synthetic stand-in data, and
+the in-process CLI runner."""
 
 import numpy as np
 
 from powerflow import Irreducible, classify, validate_matrix
+from powerflow.cli import main
 
 # c = (4/9, 1/3, 2/9): irreducible, non-star, distinct centralities
 THREE_NODE = [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
@@ -210,3 +212,15 @@ def synthetic_reduced_krackhardt(seed=20210):
     full = synthetic_krackhardt_matrix(seed)
     core = [i for i in range(21) if i + 1 not in KRACKHARDT_NEVER_ASKED]
     return validate_matrix(full.entries[np.ix_(core, core)])
+
+
+def run_cli(capsys, *argv):
+    """Run the CLI in-process: (exit code, stdout, stderr).  An argparse
+    error or --help exits with SystemExit, whose code is returned; any other
+    exception escapes main and fails the calling test."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err

@@ -1,16 +1,10 @@
 import numpy as np
 
 import powerflow as pf
-from powerflow.cli import main
 from powerflow.equilibria import _ordering_consistent
 
 import nets
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from nets import run_cli
 
 
 class TestClassifyCommand:

@@ -1,28 +1,19 @@
-"""Bad --zeta, --max-steps, --record-every and --tol values and unreadable
-network files end as input errors (exit 2, a one-line message on stderr, no
-traceback), and an --out that cannot be written as a runtime error (exit 1,
-nothing on stdout), checked in fresh interpreters."""
+"""Bad --zeta, --max-steps, --record-every and --tol values, unreadable
+network files and malformed networks end as input errors (exit 2, a one-line
+message on stderr, nothing on stdout), and an --out that cannot be written
+as a runtime error (exit 1, nothing on stdout).
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+Each case runs cli.main in-process through nets.run_cli, so an exception
+that escapes main, which would print a traceback, fails the test.  The
+`python -m powerflow.cli` entry point is run in a fresh interpreter in
+tests/test_lazy_imports.py."""
 
 import pytest
 
 import powerflow as pf
-from powerflow.cli import main
 
 import nets
-
-SRC = str(Path(pf.__file__).resolve().parent.parent)
-
-
-def run_powerflow(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "powerflow.cli", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
-    )
+from nets import run_cli
 
 
 @pytest.fixture
@@ -42,61 +33,56 @@ def two_sink_file(tmp_path):
     ],
     ids=["unparsable", "wrong-count", "bad-sum", "nan"],
 )
-def test_bad_zeta_exits_2(two_sink_file, zeta, message):
-    result = run_powerflow("equilibrium", "--network", two_sink_file, "--zeta", zeta)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr == f"error: bad zeta spec {zeta!r}: {message}\n"
-    assert "Traceback" not in result.stderr
+def test_bad_zeta_exits_2(two_sink_file, zeta, message, capsys):
+    code, out, err = run_cli(capsys, "equilibrium", "--network", two_sink_file, "--zeta", zeta)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad zeta spec {zeta!r}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
-def test_negative_max_steps_exits_2(command):
-    result = run_powerflow(command, "--builder", "star:5", "--max-steps", "-1")
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == (
+def test_negative_max_steps_exits_2(command, capsys):
+    code, out, err = run_cli(capsys, command, "--builder", "star:5", "--max-steps", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
         f"powerflow {command}: error: argument --max-steps: must be non-negative, got -1"
     )
-    assert "Traceback" not in result.stderr
 
 
 def test_non_integer_max_steps_keeps_the_int_message(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--builder", "star:5", "--max-steps", "1.5"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
+    code, _, err = run_cli(capsys, "simulate", "--builder", "star:5", "--max-steps", "1.5")
+    assert code == 2
+    assert err.splitlines()[-1] == (
         "powerflow simulate: error: argument --max-steps: invalid int value: '1.5'"
     )
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_zero_max_steps_stays_valid(command, capsys):
-    assert main([command, "--builder", "star:5", "--max-steps", "0"]) == 0
-    out = capsys.readouterr().out
+    code, out, _ = run_cli(capsys, command, "--builder", "star:5", "--max-steps", "0")
+    assert code == 0
     expected = "steps: 0" if command == "simulate" else "steps: st=0 df=0"
     assert expected in out.splitlines()
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
 @pytest.mark.parametrize("command", ["simulate", "compare"])
-def test_record_every_below_one_exits_2(command, value):
-    result = run_powerflow(
-        command, "--builder", "star:5", "--record-every", value, "--max-steps", "10"
+def test_record_every_below_one_exits_2(command, value, capsys):
+    code, out, err = run_cli(
+        capsys, command, "--builder", "star:5", "--record-every", value, "--max-steps", "10"
     )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == (
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
         f"powerflow {command}: error: argument --record-every: must be positive, got {value}"
     )
-    assert "Traceback" not in result.stderr
 
 
 def test_non_integer_record_every_keeps_the_int_message(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--builder", "star:5", "--record-every", "2.5"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
+    code, _, err = run_cli(capsys, "compare", "--builder", "star:5", "--record-every", "2.5")
+    assert code == 2
+    assert err.splitlines()[-1] == (
         "powerflow compare: error: argument --record-every: invalid int value: '2.5'"
     )
 
@@ -106,55 +92,54 @@ def test_non_integer_record_every_keeps_the_int_message(capsys):
     [lambda: pf.build_star(3), nets.ring3, nets.three_node, nets.reachable_pair],
     ids=["star", "ring", "irreducible", "reachable"],
 )
-def test_zeta_on_a_single_sink_network_exits_2(tmp_path, make):
+def test_zeta_on_a_single_sink_network_exits_2(tmp_path, make, capsys):
     path = tmp_path / "single_sink.txt"
     pf.write_matrix(make(), path)
-    result = run_powerflow("equilibrium", "--network", str(path), "--zeta", "1")
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr == (
+    code, out, err = run_cli(capsys, "equilibrium", "--network", str(path), "--zeta", "1")
+    assert code == 2
+    assert out == ""
+    assert err == (
         "error: --zeta applies only to multi-sink networks; this network has one sink\n"
     )
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("command", ["simulate", "compare"])
-def test_bad_step_tolerance_exits_2(command, value):
-    result = run_powerflow(command, "--builder", "ds:6:42", "--tol", value)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == (
+def test_bad_step_tolerance_exits_2(command, value, capsys):
+    code, out, err = run_cli(capsys, command, "--builder", "ds:6:42", "--tol", value)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
         f"powerflow {command}: error: argument --tol: must be finite and non-negative, got {value}"
     )
-    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-def test_bad_residual_tolerance_exits_2(value):
-    result = run_powerflow("equilibrium", "--builder", "ds:6:42", "--tol", value)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.splitlines()[-1] == (
+def test_bad_residual_tolerance_exits_2(value, capsys):
+    code, out, err = run_cli(capsys, "equilibrium", "--builder", "ds:6:42", "--tol", value)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
         f"powerflow equilibrium: error: argument --tol: must be finite and positive, got {value}"
     )
-    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare", "equilibrium"])
 def test_unparsable_tolerance_keeps_the_float_message(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--builder", "star:5", "--tol", "abc"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
+    code, _, err = run_cli(capsys, command, "--builder", "star:5", "--tol", "abc")
+    assert code == 2
+    assert err.splitlines()[-1] == (
         f"powerflow {command}: error: argument --tol: invalid float value: 'abc'"
     )
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_zero_step_tolerance_runs_to_max_steps(command, capsys):
-    argv = [command, "--builder", "ds:6:42", "--tol", "0", "--max-steps", "40"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out.splitlines()
+    code, out, _ = run_cli(
+        capsys, command, "--builder", "ds:6:42", "--tol", "0", "--max-steps", "40"
+    )
+    assert code == 0
+    out = out.splitlines()
     if command == "simulate":
         assert "status: max steps reached (40)" in out
     else:
@@ -172,10 +157,9 @@ def test_tolerance_with_minus_and_exponent_reaches_the_range_message(
 ):
     # argparse's own pattern reads "-1e-3" or "-inf" as an option, not as the value of --tol
     tol = ["--tol", value] if spelling == "separate" else [f"--tol={value}"]
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--builder", "ds:6:42", *tol])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
+    code, _, err = run_cli(capsys, command, "--builder", "ds:6:42", *tol)
+    assert code == 2
+    assert err.splitlines()[-1] == (
         f"powerflow {command}: error: argument --tol: must be finite and {rule}, got {value}"
     )
 
@@ -185,29 +169,35 @@ def test_zeta_tolerance_on_a_star_sink(tmp_path, capsys):
     # 1 beside a tiny total is a valid split
     path = tmp_path / "star_sink.txt"
     path.write_text(nets.STAR_SINK_ADJACENCY)
-    assert main(["equilibrium", "--network", str(path), "--zeta", "1.0000000001,0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
+    code, out, err = run_cli(
+        capsys, "equilibrium", "--network", str(path), "--zeta", "1.0000000001,0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
         "error: bad zeta spec '1.0000000001,0': sink totals must lie in [0, 1] and sum to 1\n"
     )
-    assert main(["equilibrium", "--network", str(path), "--zeta", "0.9999999999,1e-10"]) == 0
-    assert "sink power: [0.9999999999, 1e-10]" in capsys.readouterr().out.splitlines()
+    code, out, _ = run_cli(
+        capsys, "equilibrium", "--network", str(path), "--zeta", "0.9999999999,1e-10"
+    )
+    assert code == 0
+    assert "sink power: [0.9999999999, 1e-10]" in out.splitlines()
 
 
 @pytest.mark.parametrize("spelling", ["separate", "joined"])
 @pytest.mark.parametrize("zeta", ["-1e-3,1", "-.5,1.5"])
 def test_zeta_with_minus_reaches_the_range_message(two_sink_file, zeta, spelling, capsys):
     option = ["--zeta", zeta] if spelling == "separate" else [f"--zeta={zeta}"]
-    assert main(["equilibrium", "--network", two_sink_file, *option]) == 2
-    assert capsys.readouterr().err == (
+    code, _, err = run_cli(capsys, "equilibrium", "--network", two_sink_file, *option)
+    assert code == 2
+    assert err == (
         f"error: bad zeta spec {zeta!r}: sink totals must lie in [0, 1] and sum to 1\n"
     )
 
 
 @pytest.mark.parametrize("command", ["classify", "equilibrium", "simulate"])
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
-def test_unreadable_network_file_exits_2(tmp_path, command, kind):
+def test_unreadable_network_file_exits_2(tmp_path, command, kind, capsys):
     if kind == "missing":
         path, message = tmp_path / "no.txt", "error: cannot read network file: [Errno 2] "
     elif kind == "directory":
@@ -215,33 +205,53 @@ def test_unreadable_network_file_exits_2(tmp_path, command, kind):
     else:
         path, message = tmp_path / "bom.txt", "error: line 1: not UTF-8 text"
         path.write_bytes(b"\xff\xfe")
-    result = run_powerflow(command, "--network", str(path))
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith(message)
-    assert "Traceback" not in result.stderr
+    code, out, err = run_cli(capsys, command, "--network", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("command", ["classify", "equilibrium", "simulate"])
-def test_empty_dense_field_exits_2(tmp_path, command):
+def test_empty_dense_field_exits_2(tmp_path, command, capsys):
     path = tmp_path / "empty-field.txt"
     path.write_text("0,,1\n1,0\n")
-    result = run_powerflow(command, "--network", str(path))
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr == (
-        "error: line 1: empty field: every comma must stand between two values\n"
-    )
+    code, out, err = run_cli(capsys, command, "--network", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: empty field: every comma must stand between two values\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "1: 1\n2: 1\n",
+            "node 1 lists nobody to take advice from; its row would be all zero "
+            "and could not be made row-stochastic",
+        ),
+        ("0 1\n0.5 0\n", "row of node 2 sums to 0.5, expected 1"),
+        ("0 1 0\n1 0 0\n", "matrix must be square, got shape (2, 3)"),
+    ],
+    ids=["empty-advice", "row-sum", "non-square"],
+)
+def test_malformed_network_exits_2(tmp_path, text, message, capsys):
+    path = tmp_path / "malformed.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "classify", "--network", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
-def test_failed_out_write_exits_1(tmp_path, command):
+def test_failed_out_write_exits_1(tmp_path, command, capsys):
     # the files are written before the first line of output, so none is printed
-    out = tmp_path / "no-such-dir" / "traj"
-    result = run_powerflow(command, "--builder", "star:5", "--max-steps", "5", "--out", str(out))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith(f"error: [Errno 2] No such file or directory: '{out}")
-    assert "Traceback" not in result.stderr
+    prefix = tmp_path / "no-such-dir" / "traj"
+    code, out, err = run_cli(
+        capsys, command, "--builder", "star:5", "--max-steps", "5", "--out", str(prefix)
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: [Errno 2] No such file or directory: '{prefix}")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import powerflow as pf
-from powerflow.cli import main
 from powerflow.errors import (
     DimensionTooSmallError,
     FamilyParameterRequiredError,
@@ -11,6 +10,7 @@ from powerflow.errors import (
 )
 
 import nets
+from nets import run_cli
 
 
 class TestFixedPointResidual:
@@ -265,8 +265,9 @@ def near_star_file(path, delta, n=10):
 @pytest.mark.parametrize("delta", [1e-4, 1e-5])
 def test_equilibrium_command_on_a_near_star(tmp_path, capsys, delta):
     path = near_star_file(tmp_path / "near_star.txt", delta)
-    assert main(["equilibrium", "--network", path]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    code, out, _ = run_cli(capsys, "equilibrium", "--network", path)
+    assert code == 0
+    lines = out.splitlines()
     assert "ordering check: PASS" in lines
     residual = next(line for line in lines if line.startswith("residual: "))
     assert float(residual.split()[1]) <= 1e-15

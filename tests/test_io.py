@@ -7,11 +7,25 @@ import pytest
 import powerflow as pf
 from powerflow.errors import (
     EmptyAdviceSetError,
+    NonSquareError,
     ParseError,
+    PowerflowError,
     RowSumOutOfToleranceError,
 )
 
 import nets
+
+
+def load_error_and_peak(path):
+    """The error load_network raises on `path`, and its traced memory peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(PowerflowError) as err:
+            pf.load_network(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return err.value, peak
 
 
 class TestLoadDense:
@@ -82,6 +96,23 @@ class TestLoadDense:
             f"line {line_no}: empty field: every comma must stand between two values"
         )
 
+    def test_ragged_file_is_rejected_before_its_array(self, tmp_path):
+        # an 8 KB file whose first line alone would size a 2000 x 2000 array
+        path = tmp_path / "ragged.txt"
+        path.write_text(" ".join(["0"] * 2000) + "\n" + "0\n" * 1999)
+        error, peak = load_error_and_peak(path)
+        assert type(error) is ParseError
+        assert str(error) == "line 2: expected 2000 values per row, got 1"
+        assert peak < 1 << 20
+
+    def test_non_square_file_names_its_shape(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("0 1 0\n1 0 0\n")
+        with pytest.raises(NonSquareError) as err:
+            pf.load_network(path)
+        assert err.value.shape == (2, 3)
+        assert str(err.value) == "matrix must be square, got shape (2, 3)"
+
     def test_commas_with_spaces_around_them(self, tmp_path):
         path = tmp_path / "spaced.txt"
         path.write_text("0 , 0.5,0.5\n1 ,0, 0\n0.5 0.5 , 0\n")
@@ -128,6 +159,15 @@ class TestLoadAdjacency:
         with pytest.raises(EmptyAdviceSetError) as err:
             pf.load_network(path)
         assert err.value.node == 2
+
+    def test_missing_node_rejected_before_its_array(self, tmp_path):
+        # 16 bytes naming node 2000: a 2000 x 2000 array if allocated first
+        path = tmp_path / "adv.txt"
+        path.write_text("1: 2000\n2000: 1\n")
+        error, peak = load_error_and_peak(path)
+        assert type(error) is EmptyAdviceSetError
+        assert error.node == 2
+        assert peak < 1 << 20
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "adv.txt"

@@ -114,7 +114,21 @@ def test_cli_keeps_deferred_names_as_attributes():
     assert powerflow.cli.centrality_profile is pf.spectral.centrality_profile
 
 
-def test_module_entry_point_runs():
-    result = run_python("-m", "powerflow.cli", "classify", "--builder", "star:5")
-    assert result.returncode == 0, result.stderr
-    assert "star center: 1" in result.stdout
+@pytest.mark.parametrize("code", [0, 2, 1])
+def test_module_entry_point_runs(tmp_path, code):
+    # one command per exit code: success, an input error, a failed write
+    argv = {
+        0: ["classify", "--builder", "star:5"],
+        2: ["classify", "--builder", "bogus:1"],
+        1: [
+            "compare", "--builder", "star:5", "--max-steps", "5",
+            "--out", str(tmp_path / "no-such-dir" / "cmp"),
+        ],
+    }[code]
+    result = run_python("-m", "powerflow.cli", *argv)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    if code == 0:
+        assert "star center: 1" in result.stdout
+    else:
+        assert result.stdout == ""

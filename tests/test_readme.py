@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerflow.cli import main
-
 import nets
+from nets import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -58,10 +57,11 @@ def _written_files(argv):
 
 
 @pytest.mark.parametrize("argv", _cli_examples(), ids=" ".join)
-def test_cli_example(argv, tmp_path, monkeypatch):
+def test_cli_example(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     nets.write_lines(tmp_path / "advice.txt", nets.synthetic_krackhardt_lines())
     (tmp_path / "twosink.txt").write_text(nets.TWO_PAIR_ADJACENCY, encoding="utf-8")
-    assert main(argv) == 0
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(["advice.txt", "twosink.txt", *_written_files(argv)])

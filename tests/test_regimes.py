@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import powerflow as pf
-from powerflow.cli import main
 from powerflow.defaults import EPS_EQUILIBRIUM
 from powerflow.equilibria import fixed_point_residual, solve_interior_equilibrium
 from powerflow.errors import InvalidInitialError, StructureMismatchError
@@ -17,6 +16,7 @@ from powerflow.netcore import _condensation
 from powerflow.spectral import CentralityProfile, dominant_left_eigenvector
 
 import nets
+from nets import run_cli
 
 TWO_NODE = [[0.0, 1.0], [1.0, 0.0]]
 # a transient node 1 ahead of the three-node network of nets.THREE_NODE
@@ -166,11 +166,10 @@ def reference_x_star(C, structure, profile):
 
 
 def equilibrium_stdout(capsys, path, *flags):
-    code = main(["equilibrium", "--network", str(path), *flags])
-    captured = capsys.readouterr()
+    code, out, err = run_cli(capsys, "equilibrium", "--network", str(path), *flags)
     assert code == 0
-    assert captured.err == ""
-    return captured.out.splitlines()
+    assert err == ""
+    return out.splitlines()
 
 
 @pytest.mark.parametrize("regime", REGIMES, ids=IDS)
@@ -260,10 +259,10 @@ def test_equilibrium_command_stdout(regime, capsys, tmp_path):
 def test_classify_command_stdout(regime, capsys, tmp_path):
     path = tmp_path / "net.txt"
     pf.write_matrix(pf.validate_matrix(regime.matrix), path)
-    assert main(["classify", "--network", str(path)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.splitlines() == regime.classify
+    code, out, err = run_cli(capsys, "classify", "--network", str(path))
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == regime.classify
 
 
 def multi_sink_file(tmp_path):

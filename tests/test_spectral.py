@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powerflow as pf
-from powerflow.cli import main
 
 import nets
+from nets import run_cli
 
 
 class TestDominantLeftEigenvector:
@@ -186,7 +186,7 @@ def test_non_positive_score_is_named(tmp_path, capsys):
     assert str(error).startswith("solve met its residual target, but score ")
     path = tmp_path / "path.txt"
     pf.write_matrix(C, path)
-    assert main(["centrality", "--network", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {error}\n"
+    code, out, err = run_cli(capsys, "centrality", "--network", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {error}\n"
