@@ -18,6 +18,7 @@ BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import logging
 import math
@@ -183,7 +184,7 @@ def cmd_centrality(args) -> int:
     C = _load_network(args)
     structure = classify(C)
     profile = centrality_profile(C, structure)
-    if profile.global_c is not None:
+    if structure.num_sinks == 1:
         print(f"centrality: {_fmt_vec(profile.global_c)}")
     else:
         for k, (c_k, lifted) in enumerate(
@@ -192,6 +193,27 @@ def cmd_centrality(args) -> int:
             print(f"sink {k} centrality: {_fmt_vec(c_k)}")
             print(f"sink {k} lifted: {_fmt_vec(lifted)}")
     return 0
+
+
+@contextlib.contextmanager
+def _output_files(paths):
+    """Open each output path for appending before the run, so that one that
+    cannot be written fails first, with open()'s own error; appending
+    truncates no existing file.  The files opened here that did not exist
+    are removed again if the body raises."""
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.lexists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _status_text(status) -> str:
@@ -216,18 +238,22 @@ def _print_summary(C, trajectory) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from .dynamics import simulate
+    from .dynamics import _check_initial, simulate
 
     C = _load_network(args)
     structure = classify(C)
-    x0 = _resolve_x0(args.x0, C.n)
-    trajectory = simulate(
-        args.model, C, x0,
-        eps_conv=args.tol, max_steps=args.max_steps,
-        record_every=args.record_every, structure=structure,
-    )
+    # a bad start is an input error ahead of an unwritable --out
+    x0 = _check_initial(_resolve_x0(args.x0, C.n), C.n)
+    paths = [args.out] if args.out else []
+    with _output_files(paths):
+        trajectory = simulate(
+            args.model, C, x0,
+            eps_conv=args.tol, max_steps=args.max_steps,
+            record_every=args.record_every, structure=structure,
+        )
+        for path in paths:
+            netio.write_trajectory_csv(trajectory, path)
     if args.out:
-        netio.write_trajectory_csv(trajectory, args.out)
         print(f"wrote trajectory: {args.out}")
     elif not args.quiet:
         # the trajectory CSV's row writer, at _fmt's format "%.12g"
@@ -306,22 +332,24 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .dynamics import _check_initial
     from .equilibria import compare_models
 
     C = _load_network(args)
     structure = classify(C)
-    x0 = _resolve_x0(args.x0, C.n)
-    report = compare_models(
-        C, x0,
-        eps_conv=args.tol, max_steps=args.max_steps,
-        record_every=args.record_every, structure=structure,
-    )
-    st, df = report.trajectory_st, report.trajectory_df
-    if args.out:
+    # a bad start is an input error ahead of an unwritable --out
+    x0 = _check_initial(_resolve_x0(args.x0, C.n), C.n)
+    paths = [f"{args.out}.st.csv", f"{args.out}.df.csv"] if args.out else []
+    with _output_files(paths):
+        report = compare_models(
+            C, x0,
+            eps_conv=args.tol, max_steps=args.max_steps,
+            record_every=args.record_every, structure=structure,
+        )
+        st, df = report.trajectory_st, report.trajectory_df
         # written before the first line of output: a failed write prints none
-        paths = (f"{args.out}.st.csv", f"{args.out}.df.csv")
-        netio.write_trajectory_csv(st, paths[0])
-        netio.write_trajectory_csv(df, paths[1])
+        for trajectory, path in zip((st, df), paths):
+            netio.write_trajectory_csv(trajectory, path)
     print(f"regime: {report.regime}")
     print(f"steps: st={st.total_steps} df={df.total_steps}")
     print(f"status st: {_status_text(st.status)}")

@@ -34,7 +34,7 @@ import contextlib
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -338,18 +338,23 @@ class _Recording:
         return self.array
 
 
+# A status class's `tag` heads the trajectory CSV's "# status=" line, and
+# its fields follow as name=value.
 @dataclass(frozen=True)
 class Converged:
+    tag: ClassVar[str] = "converged"
     at: int
 
 
 @dataclass(frozen=True)
 class MaxStepsReached:
+    tag: ClassVar[str] = "max_steps_reached"
     steps: int
 
 
 @dataclass(frozen=True)
 class VertexAbsorbed:
+    tag: ClassVar[str] = "vertex_absorbed"
     vertex: int
     at: int
 

@@ -13,13 +13,11 @@ condition is a concave function of s with a single sign change.
 one rule per closed class: holding all power, a star class sits at its
 centre's vertex and a two-node class has the family (a, 1-a); any other
 class gets the interior point of its centrality scores from that one
-solver.  A single-sink network is thus the one-sink case of the
-assembly, and a prediction is its kind plus its point (`x_star`, None
-for the two families).  :func:`check_interior` checks a solved interior
-point; :func:`compare_models` runs both update rules from one initial
-state and returns the two trajectories, the distance between their
-limits and the regime.  Each result holds a value once: limits, step
-counts and sink totals are read from the trajectories, and
+solver.  Both take only a profile solved for an equal structure.  A
+prediction is its kind plus its point (`x_star`, None for the families).
+:func:`check_interior` checks a solved interior point; :func:`compare_models`
+runs both update rules from one start.  Each result holds a value once:
+limits, step counts and sink totals are read from the trajectories, and
 :func:`regime_name` describes the regime.
 """
 
@@ -58,7 +56,7 @@ from .netcore import (
     _check_structure_size,
     classify,
 )
-from .spectral import CentralityProfile
+from .spectral import CentralityProfile, _check_profile_fits
 
 # A total mass up to this much above 1 counts as 1.
 _MASS_SLACK = 1e-12
@@ -231,21 +229,21 @@ def predict_limit(
 ) -> EquilibriumPrediction:
     """Predict the limit of the single-timescale dynamics from x0.
 
-    Pointwise predictions are returned whenever the structure pins the
-    limit down (autocratic starts, stars, unique interior equilibria);
-    family predictions mark the regimes where the realized member depends
-    on the transient and must come from simulation.
-
     `x0` must lie in the simplex within EPS_SIMPLEX and have `C.n`
-    components (InvalidInitialError), and a start within EPS_SIMPLEX of a
-    vertex is autocratic.  Past an autocratic start only the structure
+    components (InvalidInitialError); a start within EPS_SIMPLEX of a
+    vertex is autocratic and stays put.  Past it only the structure
     matters: several sinks give the multi-sink family and a two-node sink
-    the two-node family.  Any other single sink (the whole
-    network or the reachable set) holds all power and gets the assembly's
-    per-class rule at total 1: the star centre's vertex or the interior
-    point, zero off the sink, solved to residual `eps`.
+    the two-node family, whose member depends on the transient and must
+    come from simulation.  Any other single sink (the whole network or the
+    reachable set) holds all power and gets the assembly's per-class rule
+    at total 1: the star centre's vertex or the interior point, zero off
+    the sink, solved to residual `eps`.  `structure` must be classified
+    from `C` and `profile` solved for it (StructureMismatchError); a
+    profile of another matrix with the same closed classes and centres
+    still passes.
     """
     _check_structure_size(structure, C.n)
+    _check_profile_fits(profile, structure)
     x0 = _check_initial(x0, C.n)
     v = vertex_index(x0)
     x_star = np.zeros(structure.n)
@@ -278,23 +276,16 @@ def assemble_multisink_equilibrium(
     weight to another, is solved by :func:`solve_interior_equilibrium` from
     its centrality scores with the sink total as mass, a two-node sink
     (scores (1/2, 1/2)) thus getting the even split.  Each total must lie
-    in [0, 1], their sum within 1e-9 of 1.  `profile` must hold one score
-    vector per sink of `structure`, each of that sink's size
-    (StructureMismatchError).
+    in [0, 1], their sum within 1e-9 of 1.  `profile` must be solved for
+    `structure` (StructureMismatchError); a profile of another matrix with
+    the same closed classes and centres still passes.
     """
     if structure.num_sinks == 1:
         raise StructureMismatchError(
             "assembling a per-sink equilibrium requires a multi-sink "
             "structure, got one closed class"
         )
-    sizes = tuple(idx.size for idx in structure.sink_index)
-    profile_sizes = tuple(c.size for c in profile.per_sink)
-    if profile_sizes != sizes:
-        raise StructureMismatchError(
-            f"structure was classified from a {structure.n}-node network with "
-            f"sink sizes {sizes}, not the {profile.lifted[0].size}-node one of "
-            f"this profile, with sink sizes {profile_sizes}"
-        )
+    _check_profile_fits(profile, structure)
     zeta = np.asarray(zeta_star, dtype=float)
     if zeta.size != structure.num_sinks:
         raise ValueError(

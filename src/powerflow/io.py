@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 
@@ -252,20 +253,11 @@ def build_doubly_stochastic_random(n: int, seed: int) -> RelativeInteractionMatr
     raise RuntimeError("could not draw a strongly connected matrix")
 
 
-def _status_comment(status) -> str:
-    from .dynamics import Converged, VertexAbsorbed
-
-    if isinstance(status, Converged):
-        return f"# status=converged at={status.at}"
-    if isinstance(status, VertexAbsorbed):
-        return f"# status=vertex_absorbed vertex={status.vertex} at={status.at}"
-    return f"# status=max_steps_reached steps={status.steps}"
-
-
 def write_trajectory_csv(trajectory, path) -> None:
     """Write recorded states as CSV: header ``t,x_1,...,x_n`` plus
     ``zeta_1,...,zeta_K`` columns for multi-sink runs, one row per recorded
-    step at 17 significant digits, and a trailing ``# status=...`` line.
+    step at 17 significant digits, and a trailing ``# status=<tag>`` line:
+    the status class's `tag`, then each of its fields as ``name=value``.
     """
     if trajectory.states.shape[0] == 0:
         raise ValueError("trajectory holds no states")
@@ -280,4 +272,6 @@ def write_trajectory_csv(trajectory, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("t," + ",".join(names) + "\n")
         _write_rows(handle, row_format, columns)
-        handle.write(_status_comment(trajectory.status) + "\n")
+        status = trajectory.status
+        values = "".join(f" {f.name}={getattr(status, f.name)}" for f in fields(status))
+        handle.write(f"# status={status.tag}{values}\n")

@@ -2,15 +2,14 @@
 
 Provides the eigenvalue-1 left eigenvector (eigenvector centrality) of an
 irreducible row-stochastic matrix, the centrality profile of a classified
-network (one global vector, or one vector per sink), and construction of
-the state-dependent influence matrix W(x) = diag(x) + (I - diag(x)) C.
+network (the structure it was solved for and one score vector per closed
+class; it fits only an equal structure), and the influence matrix
+W(x) = diag(x) + (I - diag(x)) C.
 
-The eigenvector comes from one direct LU solve of v (M - I) = 0 with one
-equation replaced by sum(v) = 1, gated by its residual.  It needs no
-iteration budget, no lazy damping for periodic inputs and no fallback, and
-slow-mixing inputs (long chains) are solved to rounding accuracy.
-Grassmann-Taksar-Heyman elimination, the subtraction-free alternative,
-ran 6-30 times slower in numpy at n = 200-1000 and is not kept.
+The eigenvector is one direct LU solve, with no iteration budget, damping
+or fallback (see :func:`dominant_left_eigenvector`).  Grassmann-Taksar-Heyman
+elimination, the subtraction-free alternative, ran 6-30 times slower in
+numpy at n = 200-1000 and is not kept.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import NoConvergenceError, StructureMismatchError
 from .netcore import NetworkStructure, RelativeInteractionMatrix, _check_structure_size
 
 #: Residual target for eigenvector computations (max norm of v M - v).
@@ -70,28 +69,43 @@ def dominant_left_eigenvector(M) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CentralityProfile:
-    """Eigenvector centrality scores of a classified network.
+    """Eigenvector centrality scores of a classified network, each held once.
 
-    per_sink: for each sink, the centrality vector of the sink's induced
-        subnetwork (strictly positive, sums to 1).  A single-sink network
-        contributes one entry.
-    lifted: the per_sink vectors embedded as n-vectors, positive exactly on
-        the owning sink's nodes.
-    global_c: the one lifted vector when the condensation has a single
-        sink (zero outside the reachable set in the reducible case), else
-        None.
+    structure: the NetworkStructure the scores were solved for, the only
+        one they fit (see :func:`_check_profile_fits`).
+    per_sink: for each closed class in `structure.sink_index`, the
+        centrality vector of its induced subnetwork (positive, sums to 1).
+    lifted: read-only n-vectors built on each access, the per_sink vectors
+        zero off their class; global_c the one of them, or None with several.
     """
 
+    structure: NetworkStructure
     per_sink: tuple[np.ndarray, ...]
-    lifted: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        for vec in (*self.per_sink, *self.lifted):
+        for vec in self.per_sink:
             vec.setflags(write=False)
 
     @property
+    def lifted(self) -> tuple[np.ndarray, ...]:
+        table = np.zeros((len(self.per_sink), self.structure.n))
+        for row, idx, c_k in zip(table, self.structure.sink_index, self.per_sink):
+            row[idx] = c_k
+        table.setflags(write=False)
+        return tuple(table)
+
+    @property
     def global_c(self) -> Optional[np.ndarray]:
-        return self.lifted[0] if len(self.lifted) == 1 else None
+        return self.lifted[0] if self.structure.num_sinks == 1 else None
+
+
+def _check_profile_fits(profile: CentralityProfile, structure: NetworkStructure) -> None:
+    """StructureMismatchError unless `profile` was solved for an equal `structure`."""
+    if profile.structure != structure:
+        raise StructureMismatchError(
+            f"structure of a {structure.n}-node network, {structure}, is not the "
+            f"{profile.structure.n}-node one this profile was solved for, {profile.structure}"
+        )
 
 
 def centrality_profile(
@@ -102,20 +116,14 @@ def centrality_profile(
     One eigenvector per closed class in `structure.sink_index`: the whole
     network when it is irreducible, the reachable set when it is reducible
     with one sink, each sink otherwise, each gated by EPS_SPECTRAL (see
-    :func:`dominant_left_eigenvector`).  `global_c` is the lifted vector of
-    the only class when there is one, and None with several.
+    :func:`dominant_left_eigenvector`).
     """
     _check_structure_size(structure, C.n)
-    per_sink, lifted = [], []
-    for idx in structure.sink_index:
-        # a class spanning the network is solved on C itself, not a copy
-        block = C.entries if idx.size == C.n else C.entries[np.ix_(idx, idx)]
-        c_k = dominant_left_eigenvector(block)
-        vec = np.zeros(C.n)
-        vec[idx] = c_k
-        per_sink.append(c_k)
-        lifted.append(vec)
-    return CentralityProfile(per_sink=tuple(per_sink), lifted=tuple(lifted))
+    # a class spanning the network is solved on C itself, not a copy
+    return CentralityProfile(structure, tuple(
+        dominant_left_eigenvector(C.entries if idx.size == C.n else C.entries[np.ix_(idx, idx)])
+        for idx in structure.sink_index
+    ))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Bad --zeta, --max-steps, --record-every and --tol values, unreadable
 network files and malformed networks end as input errors (exit 2, a one-line
 message on stderr, nothing on stdout), and an --out that cannot be written
-as a runtime error (exit 1, nothing on stdout).
+as a runtime error found before the run (exit 1, nothing on stdout).
 
 Each case runs cli.main in-process through nets.run_cli, so an exception
 that escapes main, which would print a traceback, fails the test.  The
@@ -11,6 +11,9 @@ tests/test_lazy_imports.py."""
 import pytest
 
 import powerflow as pf
+import powerflow.dynamics
+import powerflow.equilibria
+from powerflow.errors import NoConvergenceError
 
 import nets
 from nets import run_cli
@@ -255,3 +258,63 @@ def test_failed_out_write_exits_1(tmp_path, command, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: [Errno 2] No such file or directory: '{prefix}")
+
+
+def _stub_runs(monkeypatch, run):
+    monkeypatch.setattr(powerflow.dynamics, "simulate", run)
+    monkeypatch.setattr(powerflow.equilibria, "compare_models", run)
+
+
+def _run_never_starts(*args, **kwargs):
+    raise AssertionError("the run started")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_unwritable_out_fails_before_the_run(tmp_path, command, capsys, monkeypatch):
+    _stub_runs(monkeypatch, _run_never_starts)
+    prefix = tmp_path / "no-such-dir" / "traj"
+    code, out, err = run_cli(capsys, command, "--builder", "star:5", "--out", str(prefix))
+    assert (code, out) == (1, "")
+    first = f"{prefix}.st.csv" if command == "compare" else str(prefix)
+    assert err == f"error: [Errno 2] No such file or directory: '{first}'\n"
+
+
+@pytest.mark.parametrize(
+    "command, kept, created",
+    [("simulate", [], ["traj"]), ("compare", ["traj.st.csv"], ["traj.df.csv"])],
+)
+def test_failed_run_removes_the_out_files_it_created(
+    tmp_path, command, kept, created, capsys, monkeypatch
+):
+    # every path exists during the run; one that existed before keeps its bytes
+    for name in kept:
+        (tmp_path / name).write_text("earlier run\n")
+    seen = []
+
+    def run(*args, **kwargs):
+        seen.append(sorted(p.name for p in tmp_path.iterdir()))
+        raise NoConvergenceError(residual=1.0)
+
+    _stub_runs(monkeypatch, run)
+    code, out, err = run_cli(
+        capsys, command, "--builder", "star:5", "--out", str(tmp_path / "traj")
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: solve missed its residual target (residual 1)\n"
+    assert seen == [sorted(kept + created)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == kept
+    assert all((tmp_path / name).read_text() == "earlier run\n" for name in kept)
+
+
+@pytest.mark.parametrize("kept", [[], ["cmp.st.csv"]], ids=["new", "existing"])
+def test_compare_with_an_unwritable_df_out_writes_no_st_out(tmp_path, kept, capsys, monkeypatch):
+    _stub_runs(monkeypatch, _run_never_starts)
+    for name in kept:
+        (tmp_path / name).write_text("earlier run\n")
+    (tmp_path / "cmp.df.csv").mkdir()
+    prefix = tmp_path / "cmp"
+    code, out, err = run_cli(capsys, "compare", "--builder", "star:5", "--out", str(prefix))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: '{prefix}.df.csv'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cmp.df.csv", *kept]
+    assert all((tmp_path / name).read_text() == "earlier run\n" for name in kept)

@@ -297,6 +297,25 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError):
             pf.write_trajectory_csv(empty, tmp_path / "x.csv")
 
+    @pytest.mark.parametrize(
+        "model, x0, max_steps, line",
+        [
+            ("st", [0.2, 0.3, 0.5], None, b"# status=converged at=108\n"),
+            ("df", [0.2, 0.3, 0.5], None, b"# status=converged at=114\n"),
+            ("st", [1.0, 0.0, 0.0], None, b"# status=vertex_absorbed vertex=1 at=0\n"),
+            ("df", [1.0, 0.0, 0.0], None, b"# status=vertex_absorbed vertex=1 at=0\n"),
+            ("st", [0.2, 0.3, 0.5], 5, b"# status=max_steps_reached steps=5\n"),
+            ("df", [0.2, 0.3, 0.5], 5, b"# status=max_steps_reached steps=5\n"),
+        ],
+    )
+    def test_status_line_bytes(self, tmp_path, model, x0, max_steps, line):
+        kwargs = {} if max_steps is None else {"max_steps": max_steps}
+        traj = pf.simulate(model, nets.three_node(), np.array(x0), **kwargs)
+        path = tmp_path / "traj.csv"
+        pf.write_trajectory_csv(traj, path)
+        assert path.read_bytes().endswith(b"\n" + line)
+        assert line.startswith(f"# status={traj.status.tag} ".encode())
+
     def test_status_comment_for_vertex(self, tmp_path):
         C = nets.three_node()
         traj = pf.simulate("st", C, np.array([1.0, 0.0, 0.0]))
@@ -344,7 +363,13 @@ def _write_csv_per_value(trajectory, path):
             if zeta_rows is not None:
                 values += [format(v, ".17g") for v in zeta_rows[row_idx]]
             handle.write(f"{int(t)}," + ",".join(values) + "\n")
-        handle.write(pf.io._status_comment(trajectory.status) + "\n")
+        status = trajectory.status
+        if isinstance(status, pf.Converged):
+            handle.write(f"# status=converged at={status.at}\n")
+        elif isinstance(status, pf.VertexAbsorbed):
+            handle.write(f"# status=vertex_absorbed vertex={status.vertex} at={status.at}\n")
+        else:
+            handle.write(f"# status=max_steps_reached steps={status.steps}\n")
 
 
 class TestTrajectoryCsvBytes:

@@ -3,6 +3,7 @@ through the library (`classify`, `centrality_profile`, `predict_limit`) and
 the `classify` and `equilibrium` commands, plus the closed classes every
 structure carries as `sink_index`."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -13,7 +14,7 @@ from powerflow.defaults import EPS_EQUILIBRIUM
 from powerflow.equilibria import fixed_point_residual, solve_interior_equilibrium
 from powerflow.errors import InvalidInitialError, StructureMismatchError
 from powerflow.netcore import _condensation
-from powerflow.spectral import CentralityProfile, dominant_left_eigenvector
+from powerflow.spectral import dominant_left_eigenvector
 
 import nets
 from nets import run_cli
@@ -412,6 +413,30 @@ def _predict_three_node(x0):
     return pf.predict_limit(C, structure, pf.centrality_profile(C, structure), x0)
 
 
+# reachable sets {1, 2, 3} and {2, 3, 4} of two 4-node networks
+REACHABLE_FIRST_THREE = [
+    [0.0, 0.7, 0.3, 0.0], [0.2, 0.0, 0.8, 0.0], [0.5, 0.5, 0.0, 0.0], [0.3, 0.3, 0.4, 0.0],
+]
+REACHABLE_LAST_THREE = [
+    [0.0, 0.4, 0.3, 0.3], [0.0, 0.0, 0.9, 0.1], [0.0, 0.6, 0.0, 0.4], [0.0, 0.5, 0.5, 0.0],
+]
+
+
+def _predict_with_profile_of(C, other):
+    return pf.predict_limit(
+        C, pf.classify(C), pf.centrality_profile(other, pf.classify(other)), np.full(C.n, 0.25)
+    )
+
+
+def _swaps_12_45_feeder_3():
+    """Sinks {1,2} and {4,5} (mutual swaps), node 3 feeding all four at 1/4:
+    the sink sizes of nets.two_sink_five on other nodes."""
+    entries = np.zeros((5, 5))
+    entries[0, 1] = entries[1, 0] = entries[3, 4] = entries[4, 3] = 1.0
+    entries[2, [0, 1, 3, 4]] = 0.25
+    return pf.validate_matrix(entries)
+
+
 def _two_sink_five_sink_power(x):
     return pf.sink_power(pf.classify(nets.two_sink_five()), x)
 
@@ -443,7 +468,24 @@ BAD_VECTOR_CALLS = {
             pf.centrality_profile(nets.two_sink_six(), pf.classify(nets.two_sink_six())),
             [0.5, 0.5],
         ),
-        StructureMismatchError, r"sink sizes \(2, 2\), not the 6-node .* sizes \(2, 3\)",
+        StructureMismatchError,
+        r"sinks=\(\(1, 2\), \(3, 4\)\).* is not the 6-node one .*sinks=\(\(1, 2\), \(3, 4, 5\)\)",
+    ),
+    "predict_limit-profile-of-another-reachable-set": (
+        lambda: _predict_with_profile_of(
+            pf.validate_matrix(REACHABLE_FIRST_THREE), pf.validate_matrix(REACHABLE_LAST_THREE)
+        ),
+        StructureMismatchError,
+        r"sinks=\(\(1, 2, 3\),\).* is not the 4-node one .*sinks=\(\(2, 3, 4\),\)",
+    ),
+    "assemble-profile-of-same-sized-sinks-on-other-nodes": (
+        lambda: pf.assemble_multisink_equilibrium(
+            pf.classify(nets.two_sink_five()),
+            pf.centrality_profile(_swaps_12_45_feeder_3(), pf.classify(_swaps_12_45_feeder_3())),
+            [0.5, 0.5],
+        ),
+        StructureMismatchError,
+        r"sinks=\(\(1, 2\), \(3, 4\)\).* is not the 5-node one .*sinks=\(\(1, 2\), \(4, 5\)\)",
     ),
 }
 
@@ -459,17 +501,21 @@ def test_vector_or_profile_that_does_not_fit_is_rejected(call, error, message):
 # ------------------------------------------------------- centrality_profile
 
 
+ReferenceProfile = collections.namedtuple("ReferenceProfile", "per_sink lifted global_c")
+
+
 def reference_profile(C, structure):
-    """centrality_profile as one branch per structure variant."""
+    """centrality_profile's scores and lifted vectors as one branch per
+    structure variant."""
     if isinstance(structure, pf.Irreducible):
         c = dominant_left_eigenvector(C.entries)
-        return CentralityProfile(per_sink=(c,), lifted=(c,))
+        return ReferenceProfile((c,), (c,), c)
     if isinstance(structure, pf.ReducibleReachable):
         idx = np.asarray(structure.reachable, dtype=int) - 1
         c_sink = dominant_left_eigenvector(C.entries[np.ix_(idx, idx)])
         lifted = np.zeros(C.n)
         lifted[idx] = c_sink
-        return CentralityProfile(per_sink=(c_sink,), lifted=(lifted,))
+        return ReferenceProfile((c_sink,), (lifted,), lifted)
     per_sink, lifted = [], []
     for idx in structure.sink_index:
         c_k = dominant_left_eigenvector(C.entries[np.ix_(idx, idx)])
@@ -477,7 +523,7 @@ def reference_profile(C, structure):
         vec[idx] = c_k
         per_sink.append(c_k)
         lifted.append(vec)
-    return CentralityProfile(per_sink=tuple(per_sink), lifted=tuple(lifted))
+    return ReferenceProfile(tuple(per_sink), tuple(lifted), None)
 
 
 def profile_networks():
@@ -498,10 +544,13 @@ def test_centrality_profile_matches_the_per_variant_reference():
         kinds.add(type(structure).__name__)
         got = pf.centrality_profile(C, structure)
         want = reference_profile(C, structure)
+        assert [f.name for f in dataclasses.fields(got)] == ["structure", "per_sink"]
+        assert got.structure is structure
         assert (got.global_c is None) == (want.global_c is None)
         if want.global_c is not None:
             assert got.global_c.tobytes() == want.global_c.tobytes()
-            assert got.global_c is got.lifted[0]
+            assert got.global_c.tobytes() == got.lifted[0].tobytes()
+            assert not got.global_c.flags.writeable
         for name in ("per_sink", "lifted"):
             got_vecs, want_vecs = getattr(got, name), getattr(want, name)
             assert len(got_vecs) == len(want_vecs)
