@@ -31,8 +31,8 @@ _EXPORTS = {
             "star_center", "classify",
         )),
         ("spectral", (
-            "EPS_SPECTRAL", "CentralityProfile", "InfluenceMatrix",
-            "dominant_left_eigenvector", "centrality_profile", "influence_matrix",
+            "EPS_SPECTRAL", "CentralityProfile", "dominant_left_eigenvector",
+            "centrality_profile", "influence_matrix",
         )),
         ("dynamics", (
             "EPS_SIMPLEX", "Trajectory", "Converged", "MaxStepsReached",

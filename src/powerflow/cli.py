@@ -216,20 +216,11 @@ def _output_files(paths):
         raise
 
 
-def _status_text(status) -> str:
-    from .dynamics import Converged, VertexAbsorbed
-
-    if isinstance(status, Converged):
-        return f"converged at step {status.at}"
-    if isinstance(status, VertexAbsorbed):
-        return f"vertex absorbed at node {status.vertex} (step {status.at})"
-    return f"max steps reached ({status.steps})"
-
-
 def _print_summary(C, trajectory) -> None:
     from .dynamics import fixed_point_residual
 
-    print(f"status: {_status_text(trajectory.status)}")
+    status = trajectory.status
+    print(f"status: {status.text.format_map(vars(status))}")
     print(f"steps: {trajectory.total_steps}")
     print(f"limit: {_fmt_vec(trajectory.final_state)}")
     print(f"residual: {_fmt(fixed_point_residual(C, trajectory.final_state))}")
@@ -352,8 +343,8 @@ def cmd_compare(args) -> int:
             netio.write_trajectory_csv(trajectory, path)
     print(f"regime: {report.regime}")
     print(f"steps: st={st.total_steps} df={df.total_steps}")
-    print(f"status st: {_status_text(st.status)}")
-    print(f"status df: {_status_text(df.status)}")
+    for model, status in (("st", st.status), ("df", df.status)):
+        print(f"status {model}: {status.text.format_map(vars(status))}")
     if report.limit_distance < 1e-6:
         print(f"limits agree (dist {report.limit_distance:.3g})")
     else:

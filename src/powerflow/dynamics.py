@@ -150,7 +150,7 @@ def _st_steps(CT: np.ndarray, states, sq: np.ndarray, appraisal: np.ndarray) -> 
         add(out, sq, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _DfPlan:
     """The x-independent part of the df step for every state x whose set
     of exact vertex coordinates (x_i >= 1) is `absorbing`.
@@ -339,22 +339,26 @@ class _Recording:
 
 
 # A status class's `tag` heads the trajectory CSV's "# status=" line, and
-# its fields follow as name=value.
+# its fields follow as name=value; its `text`, with the fields filled in
+# by name, is the CLI's sentence.  A new status needs only its class.
 @dataclass(frozen=True)
 class Converged:
     tag: ClassVar[str] = "converged"
+    text: ClassVar[str] = "converged at step {at}"
     at: int
 
 
 @dataclass(frozen=True)
 class MaxStepsReached:
     tag: ClassVar[str] = "max_steps_reached"
+    text: ClassVar[str] = "max steps reached ({steps})"
     steps: int
 
 
 @dataclass(frozen=True)
 class VertexAbsorbed:
     tag: ClassVar[str] = "vertex_absorbed"
+    text: ClassVar[str] = "vertex absorbed at node {vertex} (step {at})"
     vertex: int
     at: int
 
@@ -362,7 +366,7 @@ class VertexAbsorbed:
 TrajectoryStatus = Union[Converged, MaxStepsReached, VertexAbsorbed]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded run of one update rule.
 

@@ -191,7 +191,7 @@ KIND_TWO_NODE_FAMILY = "two_node_family"
 KIND_MULTI_SINK_FAMILY = "multi_sink_family"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumPrediction:
     """Predicted limit of the single-timescale dynamics for one run.
 
@@ -372,7 +372,7 @@ def _ordering_consistent(x_star, c) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Outcome of running both update rules from the same start.
 

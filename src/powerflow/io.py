@@ -67,8 +67,6 @@ def _content_lines(path) -> list[tuple[int, str]]:
 
 
 def _parse_dense(lines: list[tuple[int, str]]) -> RelativeInteractionMatrix:
-    if not lines:
-        raise ParseError(0, "file holds no matrix rows")
     n = len(lines)
     # allocate the n x n array only once every line is seen to hold n
     # fields, so its size follows the file's, not its first line's.  The

@@ -44,7 +44,7 @@ from .errors import (
 EPS_VALIDATION = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelativeInteractionMatrix:
     """Validated row-stochastic, zero-diagonal weight matrix.
 

@@ -3,8 +3,9 @@
 Provides the eigenvalue-1 left eigenvector (eigenvector centrality) of an
 irreducible row-stochastic matrix, the centrality profile of a classified
 network (the structure it was solved for and one score vector per closed
-class; it fits only an equal structure), and the influence matrix
-W(x) = diag(x) + (I - diag(x)) C.
+class; it fits only an equal structure, and like every record that holds
+arrays it compares by identity), and the influence matrix
+W(x) = diag(x) + (I - diag(x)) C, a plain read-only array.
 
 The eigenvector is one direct LU solve, with no iteration budget, damping
 or fallback (see :func:`dominant_left_eigenvector`).  Grassmann-Taksar-Heyman
@@ -67,7 +68,7 @@ def dominant_left_eigenvector(M) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityProfile:
     """Eigenvector centrality scores of a classified network, each held once.
 
@@ -126,18 +127,9 @@ def centrality_profile(
     ))
 
 
-@dataclass(frozen=True)
-class InfluenceMatrix:
-    """Influence matrix W(x) = diag(x) + (I - diag(x)) C."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.entries.setflags(write=False)
-
-
-def influence_matrix(C: RelativeInteractionMatrix, x) -> InfluenceMatrix:
-    """Build W(x): self-weights on the diagonal, (1 - x_i) c_ij elsewhere.
+def influence_matrix(C: RelativeInteractionMatrix, x) -> np.ndarray:
+    """W(x) as a read-only array: self-weights on the diagonal,
+    (1 - x_i) c_ij elsewhere.
 
     Row-stochastic for every simplex x because each row is a convex
     combination of e_i and row i of C.
@@ -145,4 +137,5 @@ def influence_matrix(C: RelativeInteractionMatrix, x) -> InfluenceMatrix:
     x = np.asarray(x, dtype=float)
     W = (1.0 - x)[:, None] * C.entries
     np.fill_diagonal(W, x)
-    return InfluenceMatrix(entries=W)
+    W.setflags(write=False)
+    return W

@@ -1,6 +1,11 @@
+import dataclasses
+from typing import ClassVar
+
 import numpy as np
 
 import powerflow as pf
+import powerflow.dynamics
+import powerflow.equilibria
 from powerflow.equilibria import _ordering_consistent
 
 import nets
@@ -247,6 +252,17 @@ limit df: [0.999714364542""" + ", 3.57044322168e-05" * 8 + """, 0]
 """
 
 
+# stdout of `simulate --network <TWO_PAIR_ADJACENCY> --x0 random:7 --quiet`
+# but its residual, which is rendered from the library's run
+SIMULATE_TWO_PAIR = """\
+status: converged at step 12
+steps: 12
+limit: [0.269767859396, 0.269767859396, 0.230232140604, 0.230232140604, 0]
+residual: {residual}
+sink power: [0.539535718792, 0.460464281208]
+"""
+
+
 class TestOutputBytes:
     """Byte-exact stdout of `compare` and of `simulate`'s rows on fixed
     inputs.  The 17-digit CSV bodies are checked against the library's own
@@ -302,6 +318,19 @@ class TestOutputBytes:
             "status df: max steps reached (3)",
         ]
 
+    def test_simulate_multi_sink_summary(self, capsys, tmp_path):
+        path = tmp_path / "twosink.txt"
+        path.write_text(nets.TWO_PAIR_ADJACENCY, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "simulate", "--network", str(path), "--x0", "random:7", "--quiet"
+        )
+        assert (code, err) == (0, "")
+        C = nets.two_pair_five()
+        x0 = np.random.default_rng(7).exponential(1.0, 5)
+        limit = pf.simulate("st", C, x0 / x0.sum()).final_state
+        residual = format(pf.fixed_point_residual(C, limit), ".12g")
+        assert out == SIMULATE_TWO_PAIR.format(residual=residual)
+
     def test_simulate_rows(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--builder", "ds:6:42", "--record-every", "2",
@@ -314,6 +343,41 @@ class TestOutputBytes:
             "1" + ",0.166666666667" * 6,
             "status: converged at step 1",
         ]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Stalled:
+    """A status that the library does not have."""
+
+    tag: ClassVar[str] = "stalled"
+    text: ClassVar[str] = "stalled at step {at} (error {error})"
+    at: int
+    error: float
+
+
+def test_a_new_status_needs_only_its_class(capsys, monkeypatch, tmp_path):
+    # the CLI prints a status's text and the CSV its tag, whatever its class
+    real = powerflow.dynamics.simulate
+
+    def run(*args, **kwargs):
+        trajectory = real(*args, **kwargs)
+        return dataclasses.replace(trajectory, status=_Stalled(trajectory.total_steps, 0.5))
+
+    monkeypatch.setattr(powerflow.dynamics, "simulate", run)
+    monkeypatch.setattr(powerflow.equilibria, "simulate", run)
+    path = tmp_path / "traj.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--builder", "star:5", "--max-steps", "5", "--out", str(path)
+    )
+    assert (code, err) == (0, "")
+    assert "status: stalled at step 5 (error 0.5)" in out.splitlines()
+    assert path.read_text().splitlines()[-1] == "# status=stalled at=5 error=0.5"
+    code, out, err = run_cli(capsys, "compare", "--builder", "star:5", "--max-steps", "5")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:4] == [
+        "status st: stalled at step 5 (error 0.5)",
+        "status df: stalled at step 5 (error 0.5)",
+    ]
 
 
 def test_log_env_variable_accepted(capsys, monkeypatch):

@@ -1,7 +1,7 @@
-"""Bad --zeta, --max-steps, --record-every and --tol values, unreadable
-network files and malformed networks end as input errors (exit 2, a one-line
-message on stderr, nothing on stdout), and an --out that cannot be written
-as a runtime error found before the run (exit 1, nothing on stdout).
+"""Bad --x0, --builder, --zeta, --max-steps, --record-every and --tol values,
+unreadable network files and malformed networks end as input errors (exit 2, a
+one-line message on stderr, nothing on stdout), and an --out that cannot be
+written as a runtime error found before the run (exit 1, nothing on stdout).
 
 Each case runs cli.main in-process through nets.run_cli, so an exception
 that escapes main, which would print a traceback, fails the test.  The
@@ -226,6 +226,47 @@ def test_empty_dense_field_exits_2(tmp_path, command, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "simulate --builder ring:3 --x0 vertex:9",
+            "bad x0 spec 'vertex:9': vertex index 9 outside 1..3",
+        ),
+        (
+            "simulate --builder ring:3 --x0 vertex:x",
+            "bad x0 spec 'vertex:x': invalid literal for int() with base 10: 'x'",
+        ),
+        (
+            "simulate --builder ring:3 --x0 bogus",
+            "bad x0 spec 'bogus'; expected uniform, vertex:I, random:SEED or list:a,b,...",
+        ),
+        (
+            "simulate --builder ring:3 --x0 list:a,b",
+            "bad x0 spec 'list:a,b': could not convert string to float: 'a'",
+        ),
+        (
+            "classify --builder star:2",
+            "bad builder spec 'star:2': a star needs at least 3 nodes, got 2",
+        ),
+        (
+            "classify --builder star:x",
+            "bad builder spec 'star:x': invalid literal for int() with base 10: 'x'",
+        ),
+        ("classify --builder ds:2:1", "bad builder spec 'ds:2:1': need at least 3 nodes, got 2"),
+    ],
+    ids=[
+        "x0-vertex-outside", "x0-vertex-not-a-number", "x0-unknown-kind", "x0-list-not-numbers",
+        "builder-star-too-small", "builder-star-not-a-number", "builder-ds-too-small",
+    ],
+)
+def test_bad_x0_or_builder_spec_exits_2(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         (
@@ -235,8 +276,19 @@ def test_empty_dense_field_exits_2(tmp_path, command, capsys):
         ),
         ("0 1\n0.5 0\n", "row of node 2 sums to 0.5, expected 1"),
         ("0 1 0\n1 0 0\n", "matrix must be square, got shape (2, 3)"),
+        ("1: 2\n2 1\n", "line 2: expected 'node: advisor advisor ...'"),
+        ("1: 2\nx: 1\n", "line 2: not a node id: 'x'"),
+        ("1: 2\n0: 1\n", "line 2: node ids are 1-based, got 0"),
+        ("1: a\n", "line 1: advisor ids must be integers"),
+        ("1: 0\n", "line 1: node ids are 1-based"),
+        ("0 inf\n1 0\n", "entries must be finite numbers"),
+        ("0 nan\n1 0\n", "entries must be finite numbers"),
     ],
-    ids=["empty-advice", "row-sum", "non-square"],
+    ids=[
+        "empty-advice", "row-sum", "non-square", "adjacency-line-without-colon",
+        "adjacency-node-not-a-number", "adjacency-node-0", "adjacency-advisor-not-a-number",
+        "adjacency-advisor-0", "dense-inf", "dense-nan",
+    ],
 )
 def test_malformed_network_exits_2(tmp_path, text, message, capsys):
     path = tmp_path / "malformed.txt"

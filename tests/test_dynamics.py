@@ -67,7 +67,7 @@ class TestOriginalDfStep:
         for _ in range(20):
             C = nets.random_valid(rng, 3)
             x = nets.random_interior(rng, 3)
-            W = pf.influence_matrix(C, x).entries
+            W = pf.influence_matrix(C, x)
             values, vectors = np.linalg.eig(W.T)
             k = int(np.argmin(np.abs(values - 1.0)))
             expected = np.real(vectors[:, k])
@@ -88,7 +88,7 @@ def _limit_power(C, x, squarings=50):
     the lazy (I + W) / 2, which shares that limit and is aperiodic where
     W(x) is not (rows renormalised against rounding): the df step from its
     definition, with no eigenvector or absorption solve."""
-    W = 0.5 * (np.eye(C.n) + pf.influence_matrix(C, x).entries)
+    W = 0.5 * (np.eye(C.n) + pf.influence_matrix(C, x))
     for _ in range(squarings):
         W = W @ W
         W /= W.sum(axis=1, keepdims=True)
@@ -106,7 +106,7 @@ class TestClosedFormDfStep:
             y = c / (1.0 - x)
             out = pf.df_step(C, x)
             assert np.max(np.abs(out - y / y.sum())) < 1e-14
-            W = pf.influence_matrix(C, x).entries
+            W = pf.influence_matrix(C, x)
             assert np.max(np.abs(out @ W - out)) < 1e-13
 
     def test_multi_sink_per_sink_form_with_fixed_weights(self):
@@ -215,7 +215,7 @@ def _closed_classes_reference(C, absorbing):
     sinks of W(indicator of that set), whose pattern every such W(x) has."""
     indicator = np.zeros(C.n)
     indicator[list(absorbing)] = 1.0
-    components, closed = _condensation(pf.influence_matrix(C, indicator).entries)
+    components, closed = _condensation(pf.influence_matrix(C, indicator))
     return {frozenset(v - 1 for v in components[k]) for k in closed}
 
 

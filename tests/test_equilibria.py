@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,14 @@ def root_function(c, m, s):
     return s - m + np.sum(2.0 * q / (1.0 + np.sqrt(1.0 - 4.0 * q)), axis=1)
 
 
+def interior_residual(c, m, x):
+    """The solver's residual gate: max(|sum(x) - m|, max_i |x_i (1 - x_i) - a c_i|),
+    with a fixed by the top score."""
+    top = int(np.argmax(c))
+    a = x[top] * (1.0 - x[top]) / c[top]
+    return max(abs(float(x.sum()) - m), float(np.max(np.abs(x * (1.0 - x) - a * c))))
+
+
 class TestBracketedRoot:
     @pytest.mark.parametrize("n", [3, 10, 200])
     @pytest.mark.parametrize(
@@ -246,6 +256,23 @@ class TestBracketedRoot:
     def test_rejects_non_finite_scores(self, bad):
         with pytest.raises(ValueError, match="finite"):
             pf.solve_interior_equilibrium(np.array([bad, 0.5, 0.5]), 1.0)
+
+    # a Newton step from above the root fails to halve the one before it
+    # on these scores, so they take the bisection step
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_bisection_on_a_star(self, n):
+        C = pf.build_star(n)
+        c = pf.centrality_profile(C, pf.classify(C)).per_sink[0]
+        x = pf.solve_interior_equilibrium(c, 1.0)
+        assert np.max(np.abs(x - np.eye(n)[0])) <= math.ulp(1.0)
+        assert interior_residual(c, 1.0, x) <= pf.EPS_EQUILIBRIUM
+
+    @pytest.mark.parametrize("m", [0.1, 0.2])
+    def test_bisection_on_uniform_scores(self, m):
+        c = np.full(10, 0.1)
+        x = pf.solve_interior_equilibrium(c, m)
+        assert np.all(x == m / 10)
+        assert interior_residual(c, m, x) <= pf.EPS_EQUILIBRIUM
 
     def test_residual_gate(self):
         c = random_scores(np.random.default_rng(3), 12)

@@ -211,11 +211,11 @@ class TestStronglyConnectedComponents:
         rng = np.random.default_rng(12)
         for C in (nets.reducible_star_ten(), nets.two_sink_six(), nets.transient_cycle_six()):
             for i in range(C.n):
-                W = pf.influence_matrix(C, np.eye(C.n)[i]).entries
+                W = pf.influence_matrix(C, np.eye(C.n)[i])
                 components, closed = _condensation(W)
                 assert (components, closed) == _condensation_per_row(W)
                 assert (i + 1,) in components
-            W = pf.influence_matrix(C, nets.random_interior(rng, C.n)).entries
+            W = pf.influence_matrix(C, nets.random_interior(rng, C.n))
             assert _condensation(W) == _condensation_per_row(W)
 
     def test_matches_per_row_adjacency_with_single_entry_rows(self):

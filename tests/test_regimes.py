@@ -385,6 +385,57 @@ def test_sink_index_matches_the_condensation_sinks():
         assert isinstance(structure, pf.MultiSink) == (len(sinks) >= 2)
 
 
+THREE_NODE_START = np.array([0.2, 0.3, 0.5])
+
+
+def _three_node_profile():
+    C = nets.three_node()
+    structure = pf.classify(C)
+    return C, structure, pf.centrality_profile(C, structure)
+
+
+def _three_node_prediction():
+    return pf.predict_limit(*_three_node_profile(), THREE_NODE_START)
+
+
+def _interior_check():
+    C, structure, profile = _three_node_profile()
+    x_star = _three_node_prediction().x_star
+    return pf.check_interior(C, x_star, structure.sink_index[0], profile.per_sink[0])
+
+
+# each builds a fresh record from the same inputs on every call
+ARRAY_RECORDS = {
+    "RelativeInteractionMatrix": lambda: pf.validate_matrix(nets.THREE_NODE),
+    "CentralityProfile": lambda: _three_node_profile()[2],
+    "EquilibriumPrediction": _three_node_prediction,
+    "Trajectory": lambda: pf.simulate("st", nets.three_node(), THREE_NODE_START),
+    "ComparisonReport": lambda: pf.compare_models(nets.three_node(), THREE_NODE_START),
+}
+VALUE_RECORDS = {
+    "NetworkStructure": lambda: _three_node_profile()[1],
+    "InteriorCheck": _interior_check,
+    "Converged": lambda: pf.Converged(at=3),
+    "MaxStepsReached": lambda: pf.MaxStepsReached(steps=5),
+    "VertexAbsorbed": lambda: pf.VertexAbsorbed(vertex=1, at=0),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_records_holding_arrays_compare_by_identity_and_hash(make):
+    record, twin = make(), make()
+    assert record == record
+    assert (record == twin, record != twin) == (False, True)
+    assert hash(record) == hash(record) != hash(twin)
+
+
+@pytest.mark.parametrize("make", VALUE_RECORDS.values(), ids=VALUE_RECORDS.keys())
+def test_records_without_arrays_compare_and_hash_by_value(make):
+    record, twin = make(), make()
+    assert record is not twin
+    assert record == twin and hash(record) == hash(twin)
+
+
 UNIFORM4 = np.full(4, 0.25)
 MISMATCHED_CALLS = {
     "centrality_profile": lambda C, other: pf.centrality_profile(C, other),
@@ -486,6 +537,23 @@ BAD_VECTOR_CALLS = {
         ),
         StructureMismatchError,
         r"sinks=\(\(1, 2\), \(3, 4\)\).* is not the 5-node one .*sinks=\(\(1, 2\), \(4, 5\)\)",
+    ),
+    "check_simplex-matrix": (
+        lambda: pf.check_simplex(np.full((2, 2), 0.25)),
+        InvalidInitialError, r"expected a vector, got shape \(2, 2\)",
+    ),
+    "check_simplex-nan": (
+        lambda: pf.check_simplex([np.nan, 1.0]),
+        InvalidInitialError, "components must be finite",
+    ),
+    "assemble-alpha-above-one": (
+        lambda: pf.assemble_multisink_equilibrium(
+            pf.classify(nets.two_sink_five()),
+            pf.centrality_profile(nets.two_sink_five(), pf.classify(nets.two_sink_five())),
+            [1.0, 0.0],
+            alpha=1.5,
+        ),
+        ValueError, r"alpha must lie in \[0, 1\], got 1.5",
     ),
 }
 

@@ -96,28 +96,33 @@ class TestCentralityProfile:
 
 
 class TestInfluenceMatrix:
+    def test_is_a_read_only_float_array(self):
+        W = pf.influence_matrix(nets.three_node(), np.full(3, 1.0 / 3.0))
+        assert type(W) is np.ndarray and W.dtype == float and W.shape == (3, 3)
+        assert not W.flags.writeable
+
     def test_vertex_collapses_row(self):
         C = nets.three_node()
         x = np.array([1.0, 0.0, 0.0])
-        W = pf.influence_matrix(C, x).entries
+        W = pf.influence_matrix(C, x)
         assert np.array_equal(W[0], [1.0, 0.0, 0.0])
         assert np.array_equal(W[1:], C.entries[1:])
 
     def test_uniform_mixes_identity_and_network(self):
         C = nets.ring3()
-        W = pf.influence_matrix(C, np.full(3, 1.0 / 3.0)).entries
+        W = pf.influence_matrix(C, np.full(3, 1.0 / 3.0))
         expected = np.eye(3) / 3.0 + (2.0 / 3.0) * C.entries
         assert np.allclose(W, expected, atol=1e-15)
 
     def test_entrywise_example(self):
-        W = pf.influence_matrix(nets.star3(), np.array([0.5, 0.5, 0.0])).entries
+        W = pf.influence_matrix(nets.star3(), np.array([0.5, 0.5, 0.0]))
         expected = [[0.5, 0.25, 0.25], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
         assert np.allclose(W, expected, atol=1e-15)
 
     def test_uniform_state_keeps_centrality(self):
         rng = np.random.default_rng(21)
         C = nets.random_valid(rng, 5)
-        W = pf.influence_matrix(C, np.full(5, 0.2)).entries
+        W = pf.influence_matrix(C, np.full(5, 0.2))
         c = pf.dominant_left_eigenvector(C.entries)
         w = pf.dominant_left_eigenvector(W)
         assert np.max(np.abs(c - w)) < 10 * pf.EPS_SPECTRAL
@@ -129,7 +134,7 @@ def test_influence_rows_sum_to_one(seed, n):
     rng = np.random.default_rng(seed)
     C = nets.random_valid(rng, n)
     x = nets.random_interior(rng, n)
-    W = pf.influence_matrix(C, x).entries
+    W = pf.influence_matrix(C, x)
     assert np.allclose(W.sum(axis=1), 1.0, atol=5e-15)
     assert np.all(W >= 0)
 
