@@ -9,10 +9,11 @@ Grammar::
         [--out FILE] [--quiet]
 
 The environment variable POWERFLOW_LOG (off, info, debug) controls log
-verbosity on stderr.  Exit codes: 0 on success, 2 on input problems
-(files, flags, malformed matrices, bad initial vectors), 1 on runtime
-failures.  Output is deterministic for fixed flags and seeds and a fixed
-BLAS thread count.
+verbosity on stderr.  Exit codes: 0 on success, also when the reader closes
+stdout early; 2 on input problems (files, flags, malformed matrices, bad
+initial vectors), 1 on runtime failures.  A command that fails prints
+nothing on stdout.  Output is deterministic for fixed flags and seeds and a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterator
 import numpy as np
 
 from . import io as netio
@@ -146,53 +148,51 @@ def _resolve_x0(spec: str, n: int) -> np.ndarray:
     )
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Iterator[str]:
     C = _load_network(args)
     structure = classify(C)
     profile = centrality_profile(C, structure)
-    print(f"nodes: {C.n}")
+    yield f"nodes: {C.n}"
     if structure.num_sinks > 1:
-        print(f"structure: multi-sink, K={structure.num_sinks} sinks")
+        yield f"structure: multi-sink, K={structure.num_sinks} sinks"
         for k, nodes in enumerate(structure.sinks, start=1):
-            print(f"sink {k}: {_node_set(nodes)} (size {len(nodes)})")
-        print(
+            yield f"sink {k}: {_node_set(nodes)} (size {len(nodes)})"
+        yield (
             f"non-sink nodes: {_node_set(structure.non_sink_nodes)} "
             f"(m={len(structure.non_sink_nodes)})"
         )
         for k, c_k in enumerate(profile.per_sink, start=1):
-            print(f"sink {k} centrality: {_fmt_vec(c_k)}")
-        return 0
+            yield f"sink {k} centrality: {_fmt_vec(c_k)}"
+        return
     size = len(structure.sinks[0])
     whole = size == C.n
     if whole:
-        print("structure: irreducible")
+        yield "structure: irreducible"
     else:
-        print(f"structure: reducible, globally reachable set of size {size}")
-        print(f"reachable set: {_node_set(structure.sinks[0])}")
-        print(f"outside reachable set: {_node_set(structure.non_sink_nodes)}")
+        yield f"structure: reducible, globally reachable set of size {size}"
+        yield f"reachable set: {_node_set(structure.sinks[0])}"
+        yield f"outside reachable set: {_node_set(structure.non_sink_nodes)}"
     center = structure.centers[0]
     if center is not None:
         label = "star center" if whole else "star center of reachable subgraph"
-        print(f"{label}: {center}")
+        yield f"{label}: {center}"
     if whole and size == 2:
-        print("note: two-node network, every interior point is fixed")
-    print(f"centrality: {_fmt_vec(profile.global_c)}")
-    return 0
+        yield "note: two-node network, every interior point is fixed"
+    yield f"centrality: {_fmt_vec(profile.global_c)}"
 
 
-def cmd_centrality(args) -> int:
+def cmd_centrality(args) -> Iterator[str]:
     C = _load_network(args)
     structure = classify(C)
     profile = centrality_profile(C, structure)
     if structure.num_sinks == 1:
-        print(f"centrality: {_fmt_vec(profile.global_c)}")
+        yield f"centrality: {_fmt_vec(profile.global_c)}"
     else:
         for k, (c_k, lifted) in enumerate(
             zip(profile.per_sink, profile.lifted), start=1
         ):
-            print(f"sink {k} centrality: {_fmt_vec(c_k)}")
-            print(f"sink {k} lifted: {_fmt_vec(lifted)}")
-    return 0
+            yield f"sink {k} centrality: {_fmt_vec(c_k)}"
+            yield f"sink {k} lifted: {_fmt_vec(lifted)}"
 
 
 @contextlib.contextmanager
@@ -216,20 +216,8 @@ def _output_files(paths):
         raise
 
 
-def _print_summary(C, trajectory) -> None:
-    from .dynamics import fixed_point_residual
-
-    status = trajectory.status
-    print(f"status: {status.text.format_map(vars(status))}")
-    print(f"steps: {trajectory.total_steps}")
-    print(f"limit: {_fmt_vec(trajectory.final_state)}")
-    print(f"residual: {_fmt(fixed_point_residual(C, trajectory.final_state))}")
-    if trajectory.sink_power is not None:
-        print(f"sink power: {_fmt_vec(trajectory.sink_power[-1])}")
-
-
-def cmd_simulate(args) -> int:
-    from .dynamics import _check_initial, simulate
+def cmd_simulate(args) -> Iterator[str]:
+    from .dynamics import _check_initial, fixed_point_residual, simulate
 
     C = _load_network(args)
     structure = classify(C)
@@ -245,16 +233,22 @@ def cmd_simulate(args) -> int:
         for path in paths:
             netio.write_trajectory_csv(trajectory, path)
     if args.out:
-        print(f"wrote trajectory: {args.out}")
+        yield f"wrote trajectory: {args.out}"
     elif not args.quiet:
-        # the trajectory CSV's row writer, at _fmt's format "%.12g"
+        # streamed after the run, ahead of main's write of the summary, by
+        # the trajectory CSV's row writer at _fmt's format "%.12g"
         row_format = "%d," + ",".join(["%.12g"] * C.n) + "\n"
         netio._write_rows(sys.stdout, row_format, [trajectory.steps[:, None], trajectory.states])
-    _print_summary(C, trajectory)
-    return 0
+    status = trajectory.status
+    yield f"status: {status.text.format_map(vars(status))}"
+    yield f"steps: {trajectory.total_steps}"
+    yield f"limit: {_fmt_vec(trajectory.final_state)}"
+    yield f"residual: {_fmt(fixed_point_residual(C, trajectory.final_state))}"
+    if trajectory.sink_power is not None:
+        yield f"sink power: {_fmt_vec(trajectory.sink_power[-1])}"
 
 
-def cmd_equilibrium(args) -> int:
+def cmd_equilibrium(args) -> Iterator[str]:
     from .equilibria import (
         KIND_STAR_AUTOCRAT,
         KIND_TWO_NODE_FAMILY,
@@ -273,56 +267,50 @@ def cmd_equilibrium(args) -> int:
             "--zeta applies only to multi-sink networks; this network has one sink"
         )
     profile = centrality_profile(C, structure)
-    if args.zeta is not None:
-        # assembled before the first line of output: a rejected split prints none
-        try:
-            zeta = np.asarray([float(p) for p in args.zeta.split(",")], dtype=float)
-            x_star = assemble_multisink_equilibrium(structure, profile, zeta, eps=args.tol)
-        except FamilyParameterRequiredError as exc:
-            assembled = [f"equilibrium family: {exc}"]
-        except ValueError as exc:
-            # unparsable totals, a wrong count, or totals off the simplex
-            raise InvalidInitialError(f"bad zeta spec {args.zeta!r}: {exc}") from exc
-        else:
-            assembled = [
-                f"sink power: {_fmt_vec(zeta)}",
-                f"assembled equilibrium: {_fmt_vec(x_star)}",
-                f"residual: {_fmt(fixed_point_residual(C, x_star))}",
-            ]
-    print(f"regime: {regime_name(structure)}")
-    print("fixed points: every autocratic vertex e_i")
+    yield f"regime: {regime_name(structure)}"
+    yield "fixed points: every autocratic vertex e_i"
     # the uniform start is no vertex for n >= 2, so the structure alone decides
     prediction = predict_limit(C, structure, profile, np.full(C.n, 1.0 / C.n), args.tol)
     if prediction.kind == KIND_TWO_NODE_FAMILY and C.n == 2:
-        print("interior equilibria: every interior point (two-node network)")
+        yield "interior equilibria: every interior point (two-node network)"
     elif prediction.kind == KIND_TWO_NODE_FAMILY:
         a, b = structure.sinks[0]
-        print(
+        yield (
             f"equilibrium family: (alpha, 1-alpha) on nodes {a}, {b}, "
             "zero elsewhere; alpha depends on the trajectory"
         )
     elif prediction.kind == KIND_STAR_AUTOCRAT:
-        print(f"autocrat at node {structure.centers[0]}; interior equilibria: none")
+        yield f"autocrat at node {structure.centers[0]}; interior equilibria: none"
     elif prediction.kind == KIND_UNIQUE_INTERIOR:
         check = check_interior(C, prediction.x_star, structure.sink_index[0], profile.per_sink[0])
-        print(f"interior equilibrium: {_fmt_vec(prediction.x_star)}")
-        print(f"alpha: {_fmt(check.alpha)}")
-        print(f"residual: {_fmt(check.residual)}")
-        print(f"ordering check: {'PASS' if check.ordering_consistent else 'FAIL'}")
+        yield f"interior equilibrium: {_fmt_vec(prediction.x_star)}"
+        yield f"alpha: {_fmt(check.alpha)}"
+        yield f"residual: {_fmt(check.residual)}"
+        yield f"ordering check: {'PASS' if check.ordering_consistent else 'FAIL'}"
     elif args.zeta is None:
         # multi-sink: family unless the split is given
-        print(
+        yield (
             "equilibrium family: one equilibrium per split of power among "
             f"the {structure.num_sinks} sinks; pass --zeta to assemble one"
         )
         for k, c_k in enumerate(profile.per_sink, start=1):
-            print(f"sink {k} centrality: {_fmt_vec(c_k)}")
+            yield f"sink {k} centrality: {_fmt_vec(c_k)}"
     else:
-        print(*assembled, sep="\n")
-    return 0
+        try:
+            zeta = np.asarray([float(p) for p in args.zeta.split(",")], dtype=float)
+            x_star = assemble_multisink_equilibrium(structure, profile, zeta, eps=args.tol)
+        except FamilyParameterRequiredError as exc:
+            yield f"equilibrium family: {exc}"
+        except ValueError as exc:
+            # unparsable totals, a wrong count, or totals off the simplex
+            raise InvalidInitialError(f"bad zeta spec {args.zeta!r}: {exc}") from exc
+        else:
+            yield f"sink power: {_fmt_vec(zeta)}"
+            yield f"assembled equilibrium: {_fmt_vec(x_star)}"
+            yield f"residual: {_fmt(fixed_point_residual(C, x_star))}"
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> Iterator[str]:
     from .dynamics import _check_initial
     from .equilibria import compare_models
 
@@ -338,28 +326,26 @@ def cmd_compare(args) -> int:
             record_every=args.record_every, structure=structure,
         )
         st, df = report.trajectory_st, report.trajectory_df
-        # written before the first line of output: a failed write prints none
         for trajectory, path in zip((st, df), paths):
             netio.write_trajectory_csv(trajectory, path)
-    print(f"regime: {report.regime}")
-    print(f"steps: st={st.total_steps} df={df.total_steps}")
+    yield f"regime: {report.regime}"
+    yield f"steps: st={st.total_steps} df={df.total_steps}"
     for model, status in (("st", st.status), ("df", df.status)):
-        print(f"status {model}: {status.text.format_map(vars(status))}")
+        yield f"status {model}: {status.text.format_map(vars(status))}"
     if report.limit_distance < 1e-6:
-        print(f"limits agree (dist {report.limit_distance:.3g})")
+        yield f"limits agree (dist {report.limit_distance:.3g})"
     else:
         st_label = _pretty_limit(st.final_state)
         df_label = _pretty_limit(df.final_state)
         tail = "" if st_label == df_label else f": {st_label} vs {df_label}"
-        print(f"limits differ (dist {report.limit_distance:.3g}){tail}")
-    print(f"limit st: {_fmt_vec(st.final_state)}")
-    print(f"limit df: {_fmt_vec(df.final_state)}")
+        yield f"limits differ (dist {report.limit_distance:.3g}){tail}"
+    yield f"limit st: {_fmt_vec(st.final_state)}"
+    yield f"limit df: {_fmt_vec(df.final_state)}"
     if st.sink_power is not None:
-        print(f"sink power st: {_fmt_vec(st.sink_power[-1])}")
-        print(f"sink power df: {_fmt_vec(df.sink_power[-1])}")
+        yield f"sink power st: {_fmt_vec(st.sink_power[-1])}"
+        yield f"sink power df: {_fmt_vec(df.sink_power[-1])}"
     if args.out:
-        print(f"wrote trajectories: {paths[0]} {paths[1]}")
-    return 0
+        yield f"wrote trajectories: {paths[0]} {paths[1]}"
 
 
 def _int_at_least(minimum: int, rule: str):
@@ -489,13 +475,27 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     _configure_logging()
     try:
-        return args.func(args)
+        # one write once the command has returned: one that raises prints nothing
+        sys.stdout.write("".join(f"{line}\n" for line in args.func(args)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (`| head`), after the run and any --out file
+        # were complete.  As in the Python docs' SIGPIPE note, stdout goes to
+        # os.devnull, so no later flush fails; one with no descriptor is replaced.
+        devnull = open(os.devnull, "w")
+        try:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (AttributeError, ValueError):
+            sys.stdout = devnull
+        else:
+            devnull.close()
     except (ParseError, MatrixValidationError, EmptyAdviceSetError, InvalidInitialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, PowerflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,9 +15,9 @@ Two update rules act on a self-weight vector x in the unit simplex:
   centrality of the group in C (Jia, Mirtabatabaei, Friedkin & Bullo,
   SIAM Review 57(3), 2015), and the groups, their weights and their
   centralities do not depend on x except through its exact vertex
-  coordinates.  A plan built from the classified structure holds them, once
-  per run and again when those coordinates change, so a step costs O(n)
-  with no eigenproblem and no SCC pass.
+  coordinates.  A plan holds them, the centralities read from the
+  structure's centrality profile, and is rebuilt only when those coordinates
+  change, so a step costs O(n) with no eigenproblem and no SCC pass.
 
 :func:`simulate` iterates either rule with convergence detection, vertex
 absorption, per-step deltas, a conservation monitor, and per-sink power
@@ -46,12 +46,12 @@ from .netcore import (
     _check_structure_size,
     classify,
 )
-from .spectral import dominant_left_eigenvector
+from .spectral import CentralityProfile, centrality_profile
 
-# Not called here: perfbench's tracer wraps these two names on this module,
-# and its install fails on a missing name.
+# Not called here: perfbench's tracer wraps these three names on this
+# module, and its install fails on a missing name.
 from .netcore import _condensation  # noqa: F401
-from .spectral import influence_matrix  # noqa: F401
+from .spectral import dominant_left_eigenvector, influence_matrix  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -178,29 +178,27 @@ def _absorbing(x: np.ndarray) -> tuple[int, ...]:
 
 def _df_plan(
     C: RelativeInteractionMatrix,
-    structure: NetworkStructure,
+    profile: CentralityProfile,
     absorbing: tuple[int, ...],
 ) -> _DfPlan:
     """Set up the df step for the states whose exact vertex coordinates are
-    `absorbing` (0-based; empty for every state with all x_i < 1), from C's
-    classified `structure`.
+    `absorbing` (0-based; empty for every state with all x_i < 1), from the
+    centrality `profile` of C's classified structure.
 
     The closed classes of W(x) are the singletons {a}, a in `absorbing`, and
-    the closed classes of C (`structure.sink_index`) that hold no absorbing
-    node.  Row a of W(x) is e_a and every other row has C's off-diagonal
-    pattern, so a closed class of W(x) that avoids the absorbing set is
-    closed in C, and a closed class of C that holds some a drains into it.
-    Transient rows satisfy I - W_MM = (I - D_M)(I - C_MM) and
-    W_Ms = (I - D_M) C_Ms, so the mass a closed class s absorbs from the
-    uniform start, 1/n per node, is |s| / n + y C_Ms 1 with
+    the closed classes of C that hold no absorbing node, with their scores
+    from the profile.  Row a of W(x) is e_a and every other row has C's
+    off-diagonal pattern, so a closed class of W(x) that avoids the
+    absorbing set is closed in C, and a closed class of C that holds some a
+    drains into it.  Transient rows satisfy I - W_MM = (I - D_M)(I - C_MM)
+    and W_Ms = (I - D_M) C_Ms, so the mass a closed class s absorbs from
+    the uniform start, 1/n per node, is |s| / n + y C_Ms 1 with
     (I - C_MM^T) y = 1/n: independent of x.
     """
-    classes = structure.sink_index
-    if absorbing:
-        held = set(absorbing)
-        classes = tuple(np.array([a]) for a in absorbing) + tuple(
-            s for s in classes if held.isdisjoint(s.tolist())
-        )
+    held = set(absorbing)
+    sinks = zip(profile.structure.sink_index, profile.per_sink)
+    kept = [(s, c) for s, c in sinks if held.isdisjoint(s.tolist())]
+    classes = tuple(np.array([a]) for a in absorbing) + tuple(s for s, _ in kept)
     n = C.n
     weights = np.array([s.size / n for s in classes])
     in_class = np.zeros(n, dtype=bool)
@@ -217,17 +215,11 @@ def _df_plan(
         )
         for k, s in enumerate(classes):
             weights[k] += float(y @ np.add.reduce(C.entries[rows, s], axis=1))
-    centralities = tuple(
-        None
-        if s.size == 1
-        else dominant_left_eigenvector(C.entries[s[:, None], s])
-        for s in classes
-    )
     return _DfPlan(
         absorbing=tuple(absorbing),
         classes=classes,
         weights=tuple(float(w) for w in weights),
-        centralities=centralities,
+        centralities=(None,) * len(absorbing) + tuple(c for _, c in kept),
     )
 
 
@@ -240,13 +232,14 @@ def df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
     averaging absorbs into it.  Because v W_ss - v = [v (I - D_s)](C_ss - I),
     that split is c_i / (1 - x_i) normalised, with c the centrality of
     C_ss, so the step costs O(n) once the x-independent classes, weights
-    and centralities are known.  This call classifies C and works them out
-    for x's exact vertex coordinates; :func:`simulate` does so once per run
-    and again only when those coordinates change.
+    and centralities are known.  This call classifies C, builds its
+    centrality profile and plans for x's exact vertex coordinates;
+    :func:`simulate` builds the profile once per run and plans again only
+    when those coordinates change.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.size)
-    _df_step_into(_df_plan(C, classify(C), _absorbing(x)), x, out)
+    _df_step_into(_df_plan(C, centrality_profile(C, classify(C)), _absorbing(x)), x, out)
     return out
 
 
@@ -482,7 +475,8 @@ def simulate(
         # a floating-point error of the st rule is a defect and warns
         errors = contextlib.nullcontext()
     else:
-        plan = _df_plan(C, structure, ())
+        profile = centrality_profile(C, structure)
+        plan = _df_plan(C, profile, ())
 
         def advance(states) -> None:
             # The plan fits states[0].  The block loop keeps the steps up to
@@ -490,7 +484,7 @@ def simulate(
             nonlocal plan
             absorbing = _absorbing(states[0])
             if absorbing != plan.absorbing:
-                plan = _df_plan(C, structure, absorbing)
+                plan = _df_plan(C, profile, absorbing)
             for prev, row in zip(states, states[1:]):
                 _df_step_into(plan, prev, row)
 

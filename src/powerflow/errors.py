@@ -66,8 +66,9 @@ class NoConvergenceError(PowerflowError):
 
 
 class InvalidInitialError(PowerflowError):
-    """A self-weight vector is not a point of the unit simplex, or an
-    initial one has not one component per node of the network."""
+    """A self-weight vector is not a point of the unit simplex, an initial
+    one has not one component per node of the network, or a CLI --network,
+    --builder, --x0 or --zeta spec is bad."""
 
 
 class StructureMismatchError(PowerflowError):

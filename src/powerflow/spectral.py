@@ -122,7 +122,7 @@ def centrality_profile(
     _check_structure_size(structure, C.n)
     # a class spanning the network is solved on C itself, not a copy
     return CentralityProfile(structure, tuple(
-        dominant_left_eigenvector(C.entries if idx.size == C.n else C.entries[np.ix_(idx, idx)])
+        dominant_left_eigenvector(C.entries if idx.size == C.n else C.entries[idx[:, None], idx])
         for idx in structure.sink_index
     ))
 

@@ -1,12 +1,18 @@
 """Bad --x0, --builder, --zeta, --max-steps, --record-every and --tol values,
 unreadable network files and malformed networks end as input errors (exit 2, a
-one-line message on stderr, nothing on stdout), and an --out that cannot be
-written as a runtime error found before the run (exit 1, nothing on stdout).
+one-line message on stderr, nothing on stdout), an --out that cannot be
+written as a runtime error found before the run (exit 1, nothing on stdout),
+and a failed solve as a runtime error with nothing on stdout.  A reader that
+closes stdout early ends the command with exit 0 and nothing on stderr.
 
 Each case runs cli.main in-process through nets.run_cli, so an exception
 that escapes main, which would print a traceback, fails the test.  The
 `python -m powerflow.cli` entry point is run in a fresh interpreter in
 tests/test_lazy_imports.py."""
+
+import io
+import os
+import sys
 
 import pytest
 
@@ -370,3 +376,32 @@ def test_compare_with_an_unwritable_df_out_writes_no_st_out(tmp_path, kept, caps
     assert err == f"error: [Errno 21] Is a directory: '{prefix}.df.csv'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cmp.df.csv", *kept]
     assert all((tmp_path / name).read_text() == "earlier run\n" for name in kept)
+
+
+def test_failed_solve_prints_nothing_on_stdout(capsys):
+    # the interior solve cannot meet a residual target of 1e-300
+    code, out, err = run_cli(capsys, "equilibrium", "--builder", "ds:6:42", "--tol", "1e-300")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: solve missed its residual target")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["classify --builder star:5", "simulate --builder star:50 --max-steps 50"],
+    ids=["lines", "streamed-rows"],
+)
+def test_closed_stdout_exits_0(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code, _, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    # with no file descriptor to redirect, stdout itself is now os.devnull
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()

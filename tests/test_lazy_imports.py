@@ -94,7 +94,8 @@ def test_unknown_attribute_raises():
 
 
 def test_dir_lists_all():
-    # in a fresh interpreter, before any export has been resolved
+    assert set(pf.__all__) <= set(dir(pf))
+    # and in a fresh interpreter, before any export has been resolved
     code = (
         "import powerflow\n"
         "names = set(dir(powerflow))\n"
@@ -132,3 +133,34 @@ def test_module_entry_point_runs(tmp_path, code):
         assert "star center: 1" in result.stdout
     else:
         assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, rows_read",
+    [
+        (["simulate", "--builder", "star:50", "--max-steps", "5000"], 1),
+        (["classify", "--builder", "star:5"], 0),
+    ],
+    ids=["streamed-rows", "lines"],
+)
+def test_module_entry_point_with_a_closed_stdout_exits_0(argv, rows_read):
+    # the reader takes `rows_read` lines and closes the pipe, as `| head` does.
+    # stdout is block-buffered, as a pipe is by default, so that a write
+    # left in the buffer would meet the closed pipe at the interpreter's exit
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powerflow.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        for _ in range(rows_read):
+            assert proc.stdout.readline().startswith("0,0.02,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, err
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""
