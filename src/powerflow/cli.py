@@ -11,9 +11,9 @@ Grammar::
 The environment variable POWERFLOW_LOG (off, info, debug) controls log
 verbosity on stderr.  Exit codes: 0 on success, also when the reader closes
 stdout early; 2 on input problems (files, flags, malformed matrices, bad
-initial vectors), 1 on runtime failures.  A command that fails prints
-nothing on stdout.  Output is deterministic for fixed flags and seeds and a
-fixed BLAS thread count.
+initial vectors, a --builder size whose matrix numpy cannot allocate), 1 on
+runtime failures.  A command that fails prints nothing on stdout.  Output is
+deterministic for fixed flags and seeds and a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _load_network(args) -> RelativeInteractionMatrix:
             return netio.build_ring(int(parts[1]))
         if kind == "ds" and len(parts) == 3:
             return netio.build_doubly_stochastic_random(int(parts[1]), int(parts[2]))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise InvalidInitialError(f"bad builder spec {spec!r}: {exc}") from exc
     raise InvalidInitialError(
         f"bad builder spec {spec!r}; expected star:N, ring:N or ds:N:SEED"
@@ -148,9 +148,7 @@ def _resolve_x0(spec: str, n: int) -> np.ndarray:
     )
 
 
-def cmd_classify(args) -> Iterator[str]:
-    C = _load_network(args)
-    structure = classify(C)
+def cmd_classify(args, C, structure) -> Iterator[str]:
     profile = centrality_profile(C, structure)
     yield f"nodes: {C.n}"
     if structure.num_sinks > 1:
@@ -181,9 +179,7 @@ def cmd_classify(args) -> Iterator[str]:
     yield f"centrality: {_fmt_vec(profile.global_c)}"
 
 
-def cmd_centrality(args) -> Iterator[str]:
-    C = _load_network(args)
-    structure = classify(C)
+def cmd_centrality(args, C, structure) -> Iterator[str]:
     profile = centrality_profile(C, structure)
     if structure.num_sinks == 1:
         yield f"centrality: {_fmt_vec(profile.global_c)}"
@@ -216,11 +212,9 @@ def _output_files(paths):
         raise
 
 
-def cmd_simulate(args) -> Iterator[str]:
+def cmd_simulate(args, C, structure) -> Iterator[str]:
     from .dynamics import _check_initial, fixed_point_residual, simulate
 
-    C = _load_network(args)
-    structure = classify(C)
     # a bad start is an input error ahead of an unwritable --out
     x0 = _check_initial(_resolve_x0(args.x0, C.n), C.n)
     paths = [args.out] if args.out else []
@@ -248,7 +242,12 @@ def cmd_simulate(args) -> Iterator[str]:
         yield f"sink power: {_fmt_vec(trajectory.sink_power[-1])}"
 
 
-def cmd_equilibrium(args) -> Iterator[str]:
+# the equilibria of a two-node closed class holding all power
+_PAIR_FAMILY = ("equilibrium family: (alpha, 1-alpha) on nodes {}, {}, zero elsewhere; "
+                "alpha depends on the trajectory")
+
+
+def cmd_equilibrium(args, C, structure) -> Iterator[str]:
     from .equilibria import (
         KIND_STAR_AUTOCRAT,
         KIND_TWO_NODE_FAMILY,
@@ -260,8 +259,6 @@ def cmd_equilibrium(args) -> Iterator[str]:
         regime_name,
     )
 
-    C = _load_network(args)
-    structure = classify(C)
     if args.zeta is not None and structure.num_sinks == 1:
         raise InvalidInitialError(
             "--zeta applies only to multi-sink networks; this network has one sink"
@@ -274,11 +271,7 @@ def cmd_equilibrium(args) -> Iterator[str]:
     if prediction.kind == KIND_TWO_NODE_FAMILY and C.n == 2:
         yield "interior equilibria: every interior point (two-node network)"
     elif prediction.kind == KIND_TWO_NODE_FAMILY:
-        a, b = structure.sinks[0]
-        yield (
-            f"equilibrium family: (alpha, 1-alpha) on nodes {a}, {b}, "
-            "zero elsewhere; alpha depends on the trajectory"
-        )
+        yield _PAIR_FAMILY.format(*structure.sinks[0])
     elif prediction.kind == KIND_STAR_AUTOCRAT:
         yield f"autocrat at node {structure.centers[0]}; interior equilibria: none"
     elif prediction.kind == KIND_UNIQUE_INTERIOR:
@@ -299,8 +292,9 @@ def cmd_equilibrium(args) -> Iterator[str]:
         try:
             zeta = np.asarray([float(p) for p in args.zeta.split(",")], dtype=float)
             x_star = assemble_multisink_equilibrium(structure, profile, zeta, eps=args.tol)
-        except FamilyParameterRequiredError as exc:
-            yield f"equilibrium family: {exc}"
+        except FamilyParameterRequiredError:
+            # all power on a two-node sink, the one sink with total 1
+            yield _PAIR_FAMILY.format(*structure.sinks[int(np.argmax(zeta))])
         except ValueError as exc:
             # unparsable totals, a wrong count, or totals off the simplex
             raise InvalidInitialError(f"bad zeta spec {args.zeta!r}: {exc}") from exc
@@ -310,12 +304,10 @@ def cmd_equilibrium(args) -> Iterator[str]:
             yield f"residual: {_fmt(fixed_point_residual(C, x_star))}"
 
 
-def cmd_compare(args) -> Iterator[str]:
+def cmd_compare(args, C, structure) -> Iterator[str]:
     from .dynamics import _check_initial
     from .equilibria import compare_models
 
-    C = _load_network(args)
-    structure = classify(C)
     # a bad start is an input error ahead of an unwritable --out
     x0 = _check_initial(_resolve_x0(args.x0, C.n), C.n)
     paths = [f"{args.out}.st.csv", f"{args.out}.df.csv"] if args.out else []
@@ -348,44 +340,27 @@ def cmd_compare(args) -> Iterator[str]:
         yield f"wrote trajectories: {paths[0]} {paths[1]}"
 
 
-def _int_at_least(minimum: int, rule: str):
-    """An argparse type for ints >= minimum; a bad value exits 2 with
-    argparse's usage error."""
+def _number(kind, rule: str, accept):
+    """An argparse type for `kind` (int or float) values that `accept`
+    holds; an unparsable value, or one `accept` rejects (NaN included),
+    exits 2 with argparse's usage error, which echoes the flag's text."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
 
     return parse
 
 
-def _finite_float(allow_zero: bool):
-    """An argparse type for finite floats > 0, or >= 0 with `allow_zero`;
-    NaN, infinities and values below the bound exit 2 with argparse's
-    usage error."""
-    rule = "non-negative" if allow_zero else "positive"
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not (math.isfinite(value) and (value >= 0.0 if allow_zero else value > 0.0)):
-            raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text}")
-        return value
-
-    return parse
-
-
-_step_count = _int_at_least(0, "non-negative")
-_record_interval = _int_at_least(1, "positive")
-_step_tolerance = _finite_float(allow_zero=True)
-_residual_tolerance = _finite_float(allow_zero=False)
+_step_count = _number(int, "non-negative", lambda v: v >= 0)
+_record_interval = _number(int, "positive", lambda v: v >= 1)
+_step_tolerance = _number(float, "finite and non-negative", lambda v: math.isfinite(v) and v >= 0)
+_residual_tolerance = _number(float, "finite and positive", lambda v: math.isfinite(v) and v > 0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -475,8 +450,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     _configure_logging()
     try:
+        C = _load_network(args)
         # one write once the command has returned: one that raises prints nothing
-        sys.stdout.write("".join(f"{line}\n" for line in args.func(args)))
+        lines = args.func(args, C, classify(C))
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader left early (`| head`), after the run and any --out file

@@ -40,12 +40,11 @@ def dominant_left_eigenvector(M) -> np.ndarray:
     carrying the residual, reports a singular system (M not irreducible), a
     residual at or above EPS_SPECTRAL, or, naming it, a score that is not
     strictly positive, as true scores far below LU's absolute accuracy of
-    about 1e-16 can come out.
+    about 1e-16 can come out.  Every input meets both gates, a 1x1 one
+    included: [[1]] gives [1], while [[0.5]], [[0]] and [[nan]] raise.
     """
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
-    if n == 1:
-        return np.ones(1)
     lhs = A.T.copy()
     lhs[np.diag_indices(n)] -= 1.0
     lhs[-1] = 1.0

@@ -1,8 +1,9 @@
-"""Bad --x0, --builder, --zeta, --max-steps, --record-every and --tol values,
-unreadable network files and malformed networks end as input errors (exit 2, a
-one-line message on stderr, nothing on stdout), an --out that cannot be
-written as a runtime error found before the run (exit 1, nothing on stdout),
-and a failed solve as a runtime error with nothing on stdout.  A reader that
+"""Bad --x0, --builder (a size numpy cannot allocate included), --zeta,
+--max-steps, --record-every and --tol values, unreadable network files and
+malformed networks end as input errors (exit 2, a one-line message on
+stderr, nothing on stdout), an --out that cannot be written as a runtime
+error found before the run (exit 1, nothing on stdout), and a failed solve
+as a runtime error with nothing on stdout.  A reader that
 closes stdout early ends the command with exit 0 and nothing on stderr.
 
 Each case runs cli.main in-process through nets.run_cli, so an exception
@@ -14,6 +15,7 @@ import io
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import powerflow as pf
@@ -75,7 +77,8 @@ def test_zero_max_steps_stays_valid(command, capsys):
     assert expected in out.splitlines()
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
+# the message echoes the flag's own text: "-02", not "-2"
+@pytest.mark.parametrize("value", ["0", "-2", "-02"])
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_record_every_below_one_exits_2(command, value, capsys):
     code, out, err = run_cli(
@@ -270,6 +273,21 @@ def test_bad_x0_or_builder_spec_exits_2(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# n = 10**9 asks for 6.94 EiB, beyond any 64-bit address space, so numpy fails
+# before a page is touched.  A size that fits the address space but not
+# memory may be granted lazily and then exhaust it, so no such size is tested.
+@pytest.mark.parametrize("kind", ["star", "ring"])
+def test_builder_size_numpy_cannot_allocate_exits_2(kind, capsys):
+    n = 10**9
+    with pytest.raises(MemoryError) as numpy_error:
+        np.zeros((n, n))
+    spec = f"{kind}:{n}"
+    code, out, err = run_cli(capsys, "classify", "--builder", spec)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad builder spec {spec!r}: {numpy_error.value}\n"
 
 
 @pytest.mark.parametrize(

@@ -277,8 +277,8 @@ def test_equilibrium_zeta_all_power_on_two_node_sink(capsys, tmp_path):
     assert lines == [
         "regime: multi-sink(K=2)",
         "fixed points: every autocratic vertex e_i",
-        "equilibrium family: sink 1 holds all power: its equilibria are the "
-        "family (a, 1-a); pass alpha to pick one",
+        "equilibrium family: (alpha, 1-alpha) on nodes 1, 2, zero elsewhere; "
+        "alpha depends on the trajectory",
     ]
 
 
@@ -306,10 +306,12 @@ def test_equilibrium_zeta_assembles_a_member(capsys, tmp_path):
         ("0.5,0.5", ["sink power: [0.5, 0.5]",
                      "assembled equilibrium: [0.25, 0.25, 0.25, 0.25, 0]",
                      "residual: 0"]),
-        ("1,0", ["equilibrium family: sink 1 holds all power: its equilibria are "
-                 "the family (a, 1-a); pass alpha to pick one"]),
+        ("1,0", ["equilibrium family: (alpha, 1-alpha) on nodes 1, 2, zero elsewhere; "
+                 "alpha depends on the trajectory"]),
+        ("0,1", ["equilibrium family: (alpha, 1-alpha) on nodes 3, 4, zero elsewhere; "
+                 "alpha depends on the trajectory"]),
     ],
-    ids=["even-split", "all-power-on-sink-1"],
+    ids=["even-split", "all-power-on-sink-1", "all-power-on-sink-2"],
 )
 def test_equilibrium_zeta_on_two_pair_sinks(capsys, tmp_path, zeta, tail):
     path = tmp_path / "two_pair.txt"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,16 +156,21 @@ def test_slow_path_matches_exact_stationary_vector():
 
 
 @pytest.mark.parametrize(
-    "M",
+    "M, residual",
     [
-        [[1.0, 0.0], [0.5, 0.5]],  # one sink: the solve gives a zero entry
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]],  # two sinks: singular
+        ([[1.0, 0.0], [0.5, 0.5]], 0.0),  # one sink: the solve gives a zero entry
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]], math.inf),  # two sinks: singular
+        # 1x1 inputs that are not stochastic: the solve gives [1], the gate rejects it
+        ([[0.5]], 0.5),
+        ([[0.0]], 1.0),
+        ([[math.nan]], math.nan),
     ],
+    ids=["one-sink", "two-sinks", "one-state-half", "one-state-zero", "one-state-nan"],
 )
-def test_reducible_input_raises_with_residual(M):
+def test_reducible_input_raises_with_residual(M, residual):
     with pytest.raises(pf.errors.NoConvergenceError) as info:
         pf.dominant_left_eigenvector(np.array(M))
-    assert info.value.residual is not None
+    assert info.value.residual == pytest.approx(residual, nan_ok=True)
     assert "iterations" not in str(info.value)
 
 
