@@ -10,10 +10,11 @@ Grammar::
 
 The environment variable POWERFLOW_LOG (off, info, debug) controls log
 verbosity on stderr.  Exit codes: 0 on success, also when the reader closes
-stdout early; 2 on input problems (files, flags, malformed matrices, bad
-initial vectors, a --builder size whose matrix numpy cannot allocate), 1 on
-runtime failures.  A command that fails prints nothing on stdout.  Output is
-deterministic for fixed flags and seeds and a fixed BLAS thread count.
+stdout early; 2 on input problems (files, flags, an empty --out, malformed
+matrices, bad initial vectors, a --builder size whose matrix numpy cannot
+allocate), 1 on runtime failures.  A command that fails prints nothing on
+stdout.  Output is deterministic for fixed flags and seeds and a fixed BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -363,6 +364,13 @@ _step_tolerance = _number(float, "finite and non-negative", lambda v: math.isfin
 _residual_tolerance = _number(float, "finite and positive", lambda v: math.isfinite(v) and v > 0)
 
 
+def _output_path(text: str) -> str:
+    """The argparse type of --out: '' is an input error, not an absent --out."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser, and through `add_subparsers` its subparsers, that
     reads every argument starting with a dash and a digit, a dash, a dot and
@@ -422,7 +430,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one update rule")
     add_common(p_sim, run=True, model=True)
-    p_sim.add_argument("--out", help="write the trajectory CSV here")
+    p_sim.add_argument("--out", type=_output_path, help="write the trajectory CSV here")
     p_sim.add_argument(
         "--quiet", action="store_true", help="suppress per-step rows on stdout"
     )
@@ -440,7 +448,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run both update rules from one start")
     add_common(p_cmp, run=True)
-    p_cmp.add_argument("--out", help="prefix for the two trajectory CSVs")
+    p_cmp.add_argument("--out", type=_output_path, help="prefix for the two trajectory CSVs")
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

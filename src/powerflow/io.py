@@ -1,6 +1,7 @@
 """Network file ingestion, canonical builders, and trajectory serialization.
 
-Two text formats are supported, both UTF-8 with ``#`` comment lines:
+Two text formats are supported, both UTF-8 (a leading byte order mark is
+skipped) with ``#`` comment lines:
 
 * dense matrix: one row per line, comma or whitespace separated reals;
 * adjacency list: lines ``i: j k l`` meaning node i seeks advice from the
@@ -11,9 +12,10 @@ Two text formats are supported, both UTF-8 with ``#`` comment lines:
 
 Matrices (:func:`write_matrix`, the dense format) and trajectories
 (:func:`write_trajectory_csv`) are written with 17-significant-digit
-decimals, which round-trip IEEE doubles exactly.  Each writer applies one
-``%`` template to a chunk of rows at a time; a matrix template spells its
-+0.0 entries out, so only the other entries are formatted.
+decimals, which round-trip IEEE doubles exactly.  A matrix goes out one
+row at a time, and only its entries other than +0.0 are formatted; a
+trajectory goes out through one ``%`` template per row, a chunk of rows at
+a time.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ from .netcore import (
     validate_matrix,  # perfbench's tracer wraps powerflow.io.validate_matrix
 )
 
-#: values per chunk of rows written to a matrix file or trajectory CSV
+#: values per chunk of rows written to a trajectory CSV
 _CSV_CHUNK_VALUES = 1 << 16
-#: ``%`` template of a run of k matrix entries is k copies of one of these:
-#: +0.0 (which ``%.17g`` spells "0") or another value, inside a row or
-#: ending it
-_RUN_TEMPLATES = ("0 ", "%.17g ", "0\n", "%.17g\n")
 #: two commas with only whitespace between them: an empty dense field.  The
 #: line's ends are tested apart: a pattern that starts with an anchor, such
 #: as ``^,|,\s*,|,$``, no longer lets ``re`` skip ahead to the next comma
@@ -52,7 +50,7 @@ def _content_lines(path) -> list[tuple[int, str]]:
     encoded again; the first line holding one raises ParseError.
     """
     out = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
             if not raw.isascii():
                 try:
@@ -166,26 +164,17 @@ def write_matrix(C: RelativeInteractionMatrix, path) -> None:
     """Write a dense matrix file at 17 significant digits per entry, which
     :func:`load_network` reads back as C bit for bit.
 
-    Only entries other than +0.0 are formatted, so the cost follows the
-    nonzeros (plus one pass over a bit mask), not n^2 formatted values.
-    Rows go out in chunks of about _CSV_CHUNK_VALUES entries.
+    Rows go out one at a time.  Only entries other than +0.0 are formatted;
+    the rest of each row is the literal ``0`` that ``%.17g`` prints for +0.0.
     """
-    chunk = max(1, _CSV_CHUNK_VALUES // C.n)
     with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, C.n, chunk):
-            block = C.entries[start:start + chunk]
-            formatted = block.view(np.int64) != 0  # all bits clear: +0.0
-            # run kinds index _RUN_TEMPLATES; a row's last entry ends a run
-            kinds = formatted.astype(np.int8)
-            kinds[:, -1] += 2
-            kinds = kinds.ravel()
-            starts = np.flatnonzero(np.concatenate(([True], kinds[1:] != kinds[:-1])))
-            lengths = np.diff(starts, append=kinds.size)
-            template = "".join([
-                _RUN_TEMPLATES[kind] * length
-                for kind, length in zip(kinds[starts].tolist(), lengths.tolist())
-            ])
-            handle.write(template % tuple(block[formatted].tolist()))
+        for row in C.entries:
+            tokens = ["0"] * C.n
+            # any bit set: not +0.0, so -0.0 keeps its "-0"
+            formatted = np.flatnonzero(row.view(np.int64))
+            for j, value in zip(formatted.tolist(), row[formatted].tolist()):
+                tokens[j] = "%.17g" % value
+            handle.write(" ".join(tokens) + "\n")
 
 
 def _write_rows(handle, row_format: str, columns) -> None:

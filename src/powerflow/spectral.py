@@ -8,9 +8,11 @@ arrays it compares by identity), and the influence matrix
 W(x) = diag(x) + (I - diag(x)) C, a plain read-only array.
 
 The eigenvector is one direct LU solve, with no iteration budget, damping
-or fallback (see :func:`dominant_left_eigenvector`).  Grassmann-Taksar-Heyman
-elimination, the subtraction-free alternative, ran 6-30 times slower in
-numpy at n = 200-1000 and is not kept.
+or fallback (see :func:`dominant_left_eigenvector`).  Plain
+Grassmann-Taksar-Heyman elimination, the subtraction-free alternative, ran
+6-30 times slower in numpy at n = 200-1000 (920 against 36 ms at n = 1000)
+and is not kept; its blocked form is about 3 times slower than LU at
+n = 500-1000 and is an open item in ROADMAP.md.
 """
 
 from __future__ import annotations

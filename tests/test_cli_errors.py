@@ -1,10 +1,11 @@
 """Bad --x0, --builder (a size numpy cannot allocate included), --zeta,
---max-steps, --record-every and --tol values, unreadable network files and
-malformed networks end as input errors (exit 2, a one-line message on
-stderr, nothing on stdout), an --out that cannot be written as a runtime
-error found before the run (exit 1, nothing on stdout), and a failed solve
-as a runtime error with nothing on stdout.  A reader that
-closes stdout early ends the command with exit 0 and nothing on stderr.
+--max-steps, --record-every and --tol values, an empty --out, unreadable
+network files and malformed networks end as input errors (exit 2, a
+one-line message on stderr, nothing on stdout), an --out that cannot be
+written as a runtime error found before the run (exit 1, nothing on
+stdout), and a failed solve as a runtime error with nothing on stdout.  A
+reader that closes stdout early ends the command with exit 0 and nothing
+on stderr.
 
 Each case runs cli.main in-process through nets.run_cli, so an exception
 that escapes main, which would print a traceback, fails the test.  The
@@ -224,6 +225,16 @@ def test_unreadable_network_file_exits_2(tmp_path, command, kind, capsys):
     assert err.startswith(message)
 
 
+def test_byte_order_mark_network_file_loads(tmp_path, capsys):
+    text = "0 1 0\n0 0 1\n1 0 0\n"
+    (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    plain = run_cli(capsys, "classify", "--network", str(tmp_path / "plain.txt"))
+    code, out, err = run_cli(capsys, "classify", "--network", str(tmp_path / "bom.txt"))
+    assert (code, err) == (0, "")
+    assert out == plain[1]
+
+
 @pytest.mark.parametrize("command", ["classify", "equilibrium", "simulate"])
 def test_empty_dense_field_exits_2(tmp_path, command, capsys):
     path = tmp_path / "empty-field.txt"
@@ -334,6 +345,15 @@ def test_failed_out_write_exits_1(tmp_path, command, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: [Errno 2] No such file or directory: '{prefix}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_empty_out_exits_2(command, capsys, monkeypatch):
+    # an unset shell variable passed as --out "$OUT" names no file
+    _stub_runs(monkeypatch, _run_never_starts)
+    code, out, err = run_cli(capsys, command, "--builder", "star:3", "--max-steps", "3", "--out", "")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"powerflow {command}: error: argument --out: must name a file"
 
 
 def _stub_runs(monkeypatch, run):

@@ -481,7 +481,7 @@ class TestMatrixBytes:
             C = pf.load_network(path)
         self._assert_same_bytes(C, tmp_path)
 
-    def test_large_sparse_matrix_spans_many_chunks(self, tmp_path):
+    def test_large_sparse_matrix(self, tmp_path):
         # mostly zeros, like the large files of the benchmark corpus
         n = 1200
         rng = np.random.default_rng(n)
@@ -490,19 +490,11 @@ class TestMatrixBytes:
             advisors = rng.choice(np.delete(np.arange(n), i), size=4, replace=False)
             entries[i, advisors] = rng.random(4) + 1e-3
         C = pf.validate_matrix(entries / entries.sum(axis=1, keepdims=True))
-        assert C.entries.size > 16 * pf.io._CSV_CHUNK_VALUES
         self._assert_same_bytes(C, tmp_path)
 
-    def test_rows_wider_than_a_chunk(self, tmp_path, monkeypatch):
-        C = nets.random_valid(np.random.default_rng(5), 23)
-        for chunk_values in (1, 5, 17):
-            monkeypatch.setattr(pf.io, "_CSV_CHUNK_VALUES", chunk_values)
-            self._assert_same_bytes(C, tmp_path)
-
-    def test_write_holds_one_chunk(self, tmp_path, monkeypatch):
-        # a dense file: the Python floats of one chunk, not of the matrix
+    def test_write_holds_one_row(self, tmp_path):
+        # a dense file: the Python floats and text of one row, not of the matrix
         C = nets.random_valid(np.random.default_rng(400), 400)
-        monkeypatch.setattr(pf.io, "_CSV_CHUNK_VALUES", 4096)
         tracemalloc.start()
         try:
             pf.write_matrix(C, tmp_path / "dense.txt")
@@ -561,6 +553,22 @@ class TestDenseParserSemantics:
         (tmp_path / "bom.txt").write_bytes(b"\xff\xfe")
         with pytest.raises(ParseError, match="line 1: not UTF-8 text"):
             pf.load_network(tmp_path / "bom.txt")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1 0\n0 0 1\n1 0 0\n",
+            "1: 2 3\n2: 1\n3: 1 2\n",
+            "# a comment first\n0 0.5 0.5\n1 0 0\n1 0 0\n",
+        ],
+        ids=["dense", "adjacency", "comment-first"],
+    )
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, text):
+        # as Excel's "CSV UTF-8" and Notepad's "UTF-8 with BOM" write them
+        (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        plain = pf.load_network(tmp_path / "plain.txt")
+        assert pf.load_network(tmp_path / "bom.txt").entries.tobytes() == plain.entries.tobytes()
 
     def test_utf8_comment_is_read(self, tmp_path):
         path = tmp_path / "utf8.txt"
