@@ -15,9 +15,10 @@ Two update rules act on a self-weight vector x in the unit simplex:
   centrality of the group in C (Jia, Mirtabatabaei, Friedkin & Bullo,
   SIAM Review 57(3), 2015), and the groups, their weights and their
   centralities do not depend on x except through its exact vertex
-  coordinates.  A plan holds them, the centralities read from the
-  structure's centrality profile, and is rebuilt only when those coordinates
-  change, so a step costs O(n) with no eigenproblem and no SCC pass.
+  coordinate x_i >= 1, of which a state in the simplex has at most one (two
+  would sum past 1).  A plan holds them, the centralities read from the
+  structure's centrality profile, and is rebuilt only when that coordinate
+  changes, so a step costs O(n) with no eigenproblem and no SCC pass.
 
 :func:`simulate` iterates either rule with convergence detection, vertex
 absorption, per-step deltas, a conservation monitor, and per-sink power
@@ -152,15 +153,16 @@ def _st_steps(CT: np.ndarray, states, sq: np.ndarray, appraisal: np.ndarray) -> 
 
 @dataclass(frozen=True, eq=False)
 class _DfPlan:
-    """The x-independent part of the df step for every state x whose set
-    of exact vertex coordinates (x_i >= 1) is `absorbing`.
+    """The x-independent part of the df step for every state x whose exact
+    vertex coordinate (x_i >= 1) is `absorbing`, None for the states with
+    all x_i < 1.  A state in the simplex has at most one such coordinate.
 
     classes: 0-based index array of each closed class of W(x).
     weights: share of the population's mass each class absorbs.
     centralities: each class's centrality in C, None for a singleton.
     """
 
-    absorbing: tuple[int, ...]
+    absorbing: Optional[int]
     classes: tuple[np.ndarray, ...]
     weights: tuple[float, ...]
     centralities: tuple[Optional[np.ndarray], ...]
@@ -171,34 +173,35 @@ class _DfPlan:
                 vec.setflags(write=False)
 
 
-def _absorbing(x: np.ndarray) -> tuple[int, ...]:
-    """0-based coordinates at which W(x) has the row e_i."""
-    return tuple((x >= 1.0).nonzero()[0].tolist())
+def _absorbing(x: np.ndarray) -> Optional[int]:
+    """The 0-based coordinate at which W(x) has the row e_i, or None."""
+    i = int(np.argmax(x))
+    return i if x[i] >= 1.0 else None
 
 
 def _df_plan(
     C: RelativeInteractionMatrix,
     profile: CentralityProfile,
-    absorbing: tuple[int, ...],
+    absorbing: Optional[int],
 ) -> _DfPlan:
-    """Set up the df step for the states whose exact vertex coordinates are
-    `absorbing` (0-based; empty for every state with all x_i < 1), from the
-    centrality `profile` of C's classified structure.
+    """Set up the df step for the states whose exact vertex coordinate is
+    `absorbing` (0-based; None for every state with all x_i < 1), from the
+    centrality `profile` of C's classified structure.  A state in the
+    simplex has at most one exact vertex coordinate.
 
-    The closed classes of W(x) are the singletons {a}, a in `absorbing`, and
-    the closed classes of C that hold no absorbing node, with their scores
-    from the profile.  Row a of W(x) is e_a and every other row has C's
-    off-diagonal pattern, so a closed class of W(x) that avoids the
-    absorbing set is closed in C, and a closed class of C that holds some a
-    drains into it.  Transient rows satisfy I - W_MM = (I - D_M)(I - C_MM)
-    and W_Ms = (I - D_M) C_Ms, so the mass a closed class s absorbs from
-    the uniform start, 1/n per node, is |s| / n + y C_Ms 1 with
-    (I - C_MM^T) y = 1/n: independent of x.
+    The closed classes of W(x) are the singleton {a}, a = `absorbing`, and
+    the closed classes of C that do not hold a, with their scores from the
+    profile.  Row a of W(x) is e_a and every other row has C's off-diagonal
+    pattern, so every other closed class of W(x) is closed in C, and a
+    closed class of C that holds a drains into {a}.  Transient rows satisfy
+    I - W_MM = (I - D_M)(I - C_MM) and W_Ms = (I - D_M) C_Ms, so the mass a
+    closed class s absorbs from the uniform start, 1/n per node, is
+    |s| / n + y C_Ms 1 with (I - C_MM^T) y = 1/n: independent of x.
     """
-    held = set(absorbing)
     sinks = zip(profile.structure.sink_index, profile.per_sink)
-    kept = [(s, c) for s, c in sinks if held.isdisjoint(s.tolist())]
-    classes = tuple(np.array([a]) for a in absorbing) + tuple(s for s, _ in kept)
+    kept = [(s, c) for s, c in sinks if absorbing not in s.tolist()]
+    vertex = () if absorbing is None else (np.array([absorbing]),)
+    classes = vertex + tuple(s for s, _ in kept)
     n = C.n
     weights = np.array([s.size / n for s in classes])
     in_class = np.zeros(n, dtype=bool)
@@ -216,10 +219,10 @@ def _df_plan(
         for k, s in enumerate(classes):
             weights[k] += float(y @ np.add.reduce(C.entries[rows, s], axis=1))
     return _DfPlan(
-        absorbing=tuple(absorbing),
+        absorbing=absorbing,
         classes=classes,
         weights=tuple(float(w) for w in weights),
-        centralities=(None,) * len(absorbing) + tuple(c for _, c in kept),
+        centralities=(None,) * len(vertex) + tuple(c for _, c in kept),
     )
 
 
@@ -233,9 +236,9 @@ def df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
     that split is c_i / (1 - x_i) normalised, with c the centrality of
     C_ss, so the step costs O(n) once the x-independent classes, weights
     and centralities are known.  This call classifies C, builds its
-    centrality profile and plans for x's exact vertex coordinates;
-    :func:`simulate` builds the profile once per run and plans again only
-    when those coordinates change.
+    centrality profile and plans for x's exact vertex coordinate (a state
+    in the simplex has at most one); :func:`simulate` builds the profile
+    once per run and plans again only when that coordinate changes.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.size)
@@ -245,7 +248,7 @@ def df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
 
 def _df_step_into(plan: _DfPlan, x: np.ndarray, out: np.ndarray) -> None:
     """Write the df step of x into `out`; `plan` must be built for x's
-    exact vertex coordinates, which this does not check."""
+    exact vertex coordinate, which this does not check."""
     out.fill(0.0)
     for s, w, c in zip(plan.classes, plan.weights, plan.centralities):
         if c is None:
@@ -254,15 +257,6 @@ def _df_step_into(plan: _DfPlan, x: np.ndarray, out: np.ndarray) -> None:
             y = c / (1.0 - x[s])
             out[s] = (w / np.add.reduce(y)) * y
     out /= np.add.reduce(out)
-
-
-def _steps_planned(plan: _DfPlan, states: np.ndarray) -> int:
-    """Number of leading rows of `states` that have exactly the plan's
-    exact vertex coordinates."""
-    planned = np.zeros(states.shape[1], dtype=bool)
-    planned[list(plan.absorbing)] = True
-    missed = np.logical_or.reduce((states >= 1.0) != planned, axis=1).nonzero()[0]
-    return int(missed[0]) if missed.size else len(states)
 
 
 def sink_power(structure: NetworkStructure, x) -> np.ndarray:
@@ -430,7 +424,7 @@ def simulate(
     termination candidates, drift checks, sink totals and recorded rows of
     a block are then computed with a few ufunc calls into preallocated
     arrays.  A df run ignores division by zero and invalid results (only
-    the dropped steps taken past a change of exact vertex coordinates
+    the dropped steps taken past a change of exact vertex coordinate
     produce them); the st rule keeps the caller's error state.  Steps computed
     past the terminating one are discarded.  The step is deterministic, so
     states, deltas, steps and status are exactly those of stepping one at a
@@ -438,8 +432,9 @@ def simulate(
     contraction rate delta_t / delta_(t-1), logged at debug level.  Model
     "st" steps with the kernel of :func:`st_df_step`, so a trajectory
     equals repeated calls of it by construction; model "df" applies the
-    plan of :func:`df_step`, matched to the exact vertex coordinates once
-    per block, and ends a block at the first state where they change.
+    plan of :func:`df_step`, matched to the state's one exact vertex
+    coordinate (or none) once per block, and ends a block at the first
+    state where it changes.
 
     Recorded rows are copied from each block straight into the arrays that
     are returned, which grow geometrically in place and are trimmed once at
@@ -476,11 +471,11 @@ def simulate(
         errors = contextlib.nullcontext()
     else:
         profile = centrality_profile(C, structure)
-        plan = _df_plan(C, profile, ())
+        plan = _df_plan(C, profile, None)
 
         def advance(states) -> None:
             # The plan fits states[0].  The block loop keeps the steps up to
-            # the first later state with other exact vertex coordinates.
+            # the first later state with another exact vertex coordinate.
             nonlocal plan
             absorbing = _absorbing(states[0])
             if absorbing != plan.absorbing:
@@ -523,8 +518,6 @@ def simulate(
         # per-step scratch, sliced to the block's k steps
         deltas = np.empty(_MAX_BLOCK)
         peaks = np.empty(_MAX_BLOCK)
-        near_fixed = np.empty(_MAX_BLOCK, dtype=bool)
-        near_vertex = np.empty(_MAX_BLOCK, dtype=bool)
         vertex_level = 1.0 - eps_simplex
         k = _FIRST_BLOCK
         previous_delta = math.nan
@@ -534,19 +527,20 @@ def simulate(
                 k = min(k, max_steps - t)
                 rows.extend(buf[len(rows) : k + 1])
                 advance(rows[: k + 1])
+                maximum(buf[1 : k + 1], axis=1, out=peaks[:k])
                 if model == ORIGINAL_DF:
-                    # a df state reaching or leaving a vertex coordinate needs
-                    # another plan: the steps taken from it are dropped
-                    k = 1 + _steps_planned(plan, buf[1:k])
-                block = buf[1 : k + 1]
-                change = np.subtract(block, buf[:k])
+                    # a df state that reaches a vertex coordinate (peak >= 1)
+                    # or leaves the plan's one needs another plan: the steps
+                    # taken from it are dropped
+                    a = plan.absorbing
+                    moved = peaks[: k - 1] >= 1.0 if a is None else buf[1:k, a] < 1.0
+                    if moved.any():
+                        k = 1 + int(moved.argmax())
+                change = np.subtract(buf[1 : k + 1], buf[:k])
                 maximum(np.absolute(change, out=change), axis=1, out=deltas[:k])
-                maximum(block, axis=1, out=peaks[:k])
-                np.less(deltas[:k], eps_conv, out=near_fixed[:k])
-                np.greater_equal(peaks[:k], vertex_level, out=near_vertex[:k])
-                np.logical_or(near_fixed[:k], near_vertex[:k], out=near_fixed[:k])
+                near = (deltas[:k] < eps_conv) | (peaks[:k] >= vertex_level)
                 end = k
-                for j in (near_fixed[:k].nonzero()[0] + 1).tolist():
+                for j in (near.nonzero()[0] + 1).tolist():
                     vi = vertex_index(rows[j], eps_simplex)
                     # the delta of step t + j + 1 is the fixed-point deviation of row j
                     if vi is not None and (

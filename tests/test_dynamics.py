@@ -1,4 +1,3 @@
-import itertools
 import logging
 import re
 import tracemalloc
@@ -210,11 +209,13 @@ class TestClosedFormDfStep:
 
 
 def _closed_classes_reference(C, absorbing):
-    """Closed classes of W(x) for the states whose exact vertex coordinates
-    are `absorbing`, the way df plans once found them: the condensation
-    sinks of W(indicator of that set), whose pattern every such W(x) has."""
+    """Closed classes of W(x) for the states whose exact vertex coordinate
+    is `absorbing` (None for none), the way df plans once found them: the
+    condensation sinks of W(indicator of that node), whose pattern every
+    such W(x) has."""
     indicator = np.zeros(C.n)
-    indicator[list(absorbing)] = 1.0
+    if absorbing is not None:
+        indicator[absorbing] = 1.0
     components, closed = _condensation(pf.influence_matrix(C, indicator))
     return {frozenset(v - 1 for v in components[k]) for k in closed}
 
@@ -237,19 +238,20 @@ def _transient_patterns(rng, count):
 
 class TestClosedClassRule:
     """A df plan takes the closed classes of W(x) from C's classified
-    structure: each exact vertex coordinate alone, plus every closed class
-    of C that holds none of them.  Checked against the condensation of
-    W(x) for every set of at most three such coordinates."""
+    structure: the exact vertex coordinate alone, plus every closed class
+    of C that does not hold it.  Checked against the condensation of W(x)
+    with no such coordinate and with each node as it; a df state has at
+    most one (test_df_states_have_at_most_one_vertex_coordinate)."""
 
     @staticmethod
     def _check(C):
         profile = pf.centrality_profile(C, pf.classify(C))
-        for size in range(4):
-            for absorbing in itertools.combinations(range(C.n), size):
-                plan = dynamics._df_plan(C, profile, absorbing)
-                classes = {frozenset(s.tolist()) for s in plan.classes}
-                assert len(classes) == len(plan.classes)
-                assert classes == _closed_classes_reference(C, absorbing), absorbing
+        for absorbing in (None, *range(C.n)):
+            plan = dynamics._df_plan(C, profile, absorbing)
+            assert plan.absorbing == absorbing
+            classes = {frozenset(s.tolist()) for s in plan.classes}
+            assert len(classes) == len(plan.classes)
+            assert classes == _closed_classes_reference(C, absorbing), absorbing
 
     @pytest.mark.parametrize(
         "make",
@@ -268,6 +270,22 @@ class TestClosedClassRule:
     def test_random_patterns_with_transient_nodes(self):
         for C in _transient_patterns(np.random.default_rng(47), 100):
             self._check(C)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [nets.reducible_star_ten, nets.transient_cycle_six, nets.two_sink_six, nets.star_sink_seven],
+)
+def test_df_states_have_at_most_one_vertex_coordinate(make):
+    # the assumption a df plan keys on: two coordinates >= 1 would sum past 1
+    C = make()
+    rng = np.random.default_rng(11)
+    starts = [_e(C.n, i) for i in range(1, C.n + 1)]
+    starts += [nets.random_interior(rng, C.n) for _ in range(5)]
+    for x0 in starts:
+        for eps_conv in (pf.EPS_CONV, 0.0):
+            traj = pf.simulate("df", C, x0, eps_conv=eps_conv, max_steps=300)
+            assert np.max(np.add.reduce(traj.states >= 1.0, axis=1)) <= 1
 
 
 class TestSinkPower:
