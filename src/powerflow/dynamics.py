@@ -67,8 +67,9 @@ _MASS_CHECK_INTERVAL = 512
 
 # simulate computes the steps of a block into one preallocated buffer: the
 # first block is short so that short runs pay for few steps past their end,
-# later ones are sized from the observed contraction rate.  The buffer holds
-# _MAX_BLOCK + 1 states, fewer than the n x n matrix for n > _MAX_BLOCK.
+# later ones aim, at the observed contraction rate, at the step that falls
+# below eps_conv.  The buffer holds _MAX_BLOCK + 1 states, fewer than the
+# n x n matrix for n > _MAX_BLOCK.
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 256
 
@@ -119,9 +120,11 @@ def st_df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
     Vertices are exactly fixed with no rounding: at x = e_i the appraisal
     term x - x^2 vanishes identically, leaving x^2 = e_i.  This function and
     :func:`simulate` share one kernel on a C-ordered copy of C^T, so a
-    trajectory equals repeated calls of this function bit for bit.
+    trajectory equals repeated calls of this function bit for bit.  `x`
+    must lie in the simplex within EPS_SIMPLEX and have a component for each
+    of C's n nodes, else InvalidInitialError.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_initial(x, C.n)
     out = np.empty(x.size)
     CT = np.ascontiguousarray(C.entries.T)
     _st_steps(CT, [x, out], np.empty(x.size), np.empty(x.size))
@@ -129,7 +132,8 @@ def st_df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
 
 
 def fixed_point_residual(C: RelativeInteractionMatrix, x) -> float:
-    """Max-norm distance between x and its single-timescale update."""
+    """Max-norm distance between x and its single-timescale update; `x` is
+    checked as by :func:`st_df_step` (InvalidInitialError)."""
     x = np.asarray(x, dtype=float)
     return float(np.max(np.abs(st_df_step(C, x) - x)))
 
@@ -238,9 +242,11 @@ def df_step(C: RelativeInteractionMatrix, x) -> np.ndarray:
     and centralities are known.  This call classifies C, builds its
     centrality profile and plans for x's exact vertex coordinate (a state
     in the simplex has at most one); :func:`simulate` builds the profile
-    once per run and plans again only when that coordinate changes.
+    once per run and plans again only when that coordinate changes.  `x`
+    must lie in the simplex within EPS_SIMPLEX and have a component for each
+    of C's n nodes, else InvalidInitialError.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_initial(x, C.n)
     out = np.empty(x.size)
     _df_step_into(_df_plan(C, centrality_profile(C, classify(C)), _absorbing(x)), x, out)
     return out
@@ -580,8 +586,7 @@ def simulate(
                 if status is not None:
                     break
                 previous_delta = last
-                gap = 1.0 - float(peaks[end - 1])
-                k = _block_length(k, last, rate, gap, eps_conv, eps_simplex)
+                k = _block_length(k, last, rate, eps_conv)
         x = buf[0].copy()
         if status is None:
             status = MaxStepsReached(steps=max_steps)
@@ -605,24 +610,13 @@ def simulate(
     )
 
 
-def _block_length(
-    k: int,
-    delta: float,
-    rate: float,
-    gap: float,
-    eps_conv: float,
-    eps_simplex: float,
-) -> int:
+def _block_length(k: int, delta: float, rate: float, eps_conv: float) -> int:
     """Steps in the next block: enough, at the observed contraction `rate`,
-    to take the step `delta` below `eps_conv` or the distance `gap` from the
-    nearest vertex below `eps_simplex`, plus the step that confirms it (a
-    zero tolerance sets no target); at most twice the last block, since
-    early rates are rough."""
+    to take the step `delta` below `eps_conv`, plus the step that confirms
+    it (a zero tolerance sets no target); at most twice the last block,
+    since early rates are rough."""
     longest = min(2 * k, _MAX_BLOCK)
-    if not 0.0 < rate < 1.0:
+    if not 0.0 < rate < 1.0 or eps_conv == 0.0:
         return longest
-    log_rate = math.log(rate)
-    need = math.log(eps_conv / delta) / log_rate if eps_conv > 0.0 else math.inf
-    if eps_simplex > 0.0 and gap > eps_simplex:
-        need = min(need, math.log(eps_simplex / gap) / log_rate)
+    need = math.log(eps_conv / delta) / math.log(rate)
     return int(min(max(need, 0.0) + 2.0, longest))

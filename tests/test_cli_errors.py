@@ -443,3 +443,15 @@ def test_closed_stdout_exits_0(argv, capsys, monkeypatch):
     # with no file descriptor to redirect, stdout itself is now os.devnull
     assert sys.stdout.name == os.devnull
     sys.stdout.close()
+
+
+def test_closed_pipe_descriptor_is_redirected_to_devnull(capsys, monkeypatch):
+    # a real pipe whose reader has gone, as under `powerflow ... | head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code, _, err = run_cli(capsys, "classify", "--builder", "star:5")
+        assert (code, err) == (0, "")
+        # the descriptor now writes to os.devnull, so the close's flush succeeds
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))

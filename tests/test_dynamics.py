@@ -288,6 +288,14 @@ def test_df_states_have_at_most_one_vertex_coordinate(make):
             assert np.max(np.add.reduce(traj.states >= 1.0, axis=1)) <= 1
 
 
+@pytest.mark.parametrize("step", [pf.st_df_step, pf.df_step, pf.fixed_point_residual])
+@pytest.mark.parametrize("x", [[0.5, 0.5], [2.0, -1.0, 0.0]], ids=["short", "off-simplex"])
+def test_one_step_checks_the_state_as_simulate_does(step, x):
+    # neither a vector of the wrong length nor a point off the simplex is stepped
+    with pytest.raises(InvalidInitialError):
+        step(pf.build_ring(3), x)
+
+
 class TestSinkPower:
     def test_uniform_state(self):
         C = nets.two_sink_five()
